@@ -1,11 +1,10 @@
 // Substrate micro-benchmarks: the RDF triple store, the N-Triples codec,
-// and the binary snapshot codecs (the storage layers every pipeline stage
+// and the binary snapshot codec (the storage layers every pipeline stage
 // writes into).
 //
-// Acceptance budget: serving cold start from a v2 (zero-copy mmap)
-// snapshot of a 1M-triple KB must be >= 10x faster than from a v1
-// (parse + intern + sort) snapshot of the same store. Emits the common
-// "akb-bench-v1" file (BENCH_bench_rdf.json).
+// Acceptance budget: opening a serving view from the zero-copy snapshot
+// of a 1M-triple KB (mmap + validate) must take <= 100 ms. Emits the
+// common "akb-bench-v1" file (BENCH_bench_rdf.json).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -127,7 +126,8 @@ void BM_SnapshotSave(benchmark::State& state) {
   std::string path = BenchSnapshotPath();
   rdf::SnapshotStats stats;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(store.SaveSnapshot(path, &stats).ok());
+    benchmark::DoNotOptimize(
+        store.SaveSnapshot(path, rdf::SnapshotFormat::kV2, &stats).ok());
   }
   state.SetBytesProcessed(int64_t(state.iterations()) *
                           int64_t(stats.bytes));
@@ -139,44 +139,6 @@ BENCHMARK(BM_SnapshotSave)->Arg(10000)->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 
 void BM_SnapshotLoad(benchmark::State& state) {
-  rdf::TripleStore store = BuildStore(size_t(state.range(0)), 10);
-  std::string path = BenchSnapshotPath();
-  rdf::SnapshotStats stats;
-  if (!store.SaveSnapshot(path, &stats).ok()) {
-    state.SkipWithError("save failed");
-    return;
-  }
-  for (auto _ : state) {
-    rdf::TripleStore restored;
-    benchmark::DoNotOptimize(restored.LoadSnapshot(path).ok());
-  }
-  state.SetBytesProcessed(int64_t(state.iterations()) *
-                          int64_t(stats.bytes));
-  state.SetItemsProcessed(int64_t(state.iterations()) *
-                          int64_t(stats.claims));
-  std::remove(path.c_str());
-}
-BENCHMARK(BM_SnapshotLoad)->Arg(10000)->Arg(100000)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_SnapshotSaveV2(benchmark::State& state) {
-  rdf::TripleStore store = BuildStore(size_t(state.range(0)), 9);
-  std::string path = BenchSnapshotPath();
-  rdf::SnapshotStats stats;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        store.SaveSnapshot(path, rdf::SnapshotFormat::kV2, &stats).ok());
-  }
-  state.SetBytesProcessed(int64_t(state.iterations()) *
-                          int64_t(stats.bytes));
-  state.SetItemsProcessed(int64_t(state.iterations()) *
-                          int64_t(stats.claims));
-  std::remove(path.c_str());
-}
-BENCHMARK(BM_SnapshotSaveV2)->Arg(10000)->Arg(100000)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_SnapshotLoadV2(benchmark::State& state) {
   rdf::TripleStore store = BuildStore(size_t(state.range(0)), 10);
   std::string path = BenchSnapshotPath();
   rdf::SnapshotStats stats;
@@ -194,11 +156,11 @@ void BM_SnapshotLoadV2(benchmark::State& state) {
                           int64_t(stats.claims));
   std::remove(path.c_str());
 }
-BENCHMARK(BM_SnapshotLoadV2)->Arg(10000)->Arg(100000)
+BENCHMARK(BM_SnapshotLoad)->Arg(10000)->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 
-// Zero-copy KbView open: the mmap + validate path v2 exists for.
-void BM_KbViewFromSnapshotV2(benchmark::State& state) {
+// Zero-copy KbView open: mmap + validate, the serve cold start.
+void BM_KbViewFromSnapshot(benchmark::State& state) {
   rdf::TripleStore store = BuildStore(100000, 11);
   std::string path = BenchSnapshotPath();
   if (!store.SaveSnapshot(path, rdf::SnapshotFormat::kV2).ok()) {
@@ -211,15 +173,16 @@ void BM_KbViewFromSnapshotV2(benchmark::State& state) {
   }
   std::remove(path.c_str());
 }
-BENCHMARK(BM_KbViewFromSnapshotV2)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_KbViewFromSnapshot)->Unit(benchmark::kMillisecond);
 
 // ------------------------------------------------------------ cold start
 //
-// The tentpole comparison: time-to-first-query for a 1M-triple KB. The
-// v1 path re-does at load time everything the v2 writer did at save time
-// (varint parse, term interning, hash-index rebuild, three permutation
-// sorts); the v2 path is mmap + CRC/structure validation + pointer
-// fixup, so it scales with I/O bandwidth instead of n log n.
+// The headline number: time-to-first-query for a 1M-triple KB. Opening
+// the view is mmap + CRC/structure validation + pointer fixup — the
+// writer already interned, sorted, and laid out everything — so it
+// scales with I/O bandwidth instead of n log n.
+constexpr double kColdStartBudgetMs = 100.0;
+
 void PrintColdStartReport(obs::BenchSuite* suite) {
   // 2000 x 25 x 20 = exactly 1M distinct triples, each with one claim.
   rdf::TripleStore store;
@@ -246,25 +209,19 @@ void PrintColdStartReport(obs::BenchSuite* suite) {
     }
   }
 
-  std::string v1_path = std::string(P_tmpdir) + "/bench_cold_v1.akbsnap";
-  std::string v2_path = std::string(P_tmpdir) + "/bench_cold_v2.akbsnap";
-  rdf::SnapshotStats v1_stats, v2_stats;
-  if (!store.SaveSnapshot(v1_path, rdf::SnapshotFormat::kV1, &v1_stats)
-           .ok() ||
-      !store.SaveSnapshot(v2_path, rdf::SnapshotFormat::kV2, &v2_stats)
-           .ok()) {
+  std::string path = std::string(P_tmpdir) + "/bench_cold.akbsnap";
+  rdf::SnapshotStats stats;
+  if (!store.SaveSnapshot(path, rdf::SnapshotFormat::kV2, &stats).ok()) {
     std::fprintf(stderr, "FATAL: cold-start snapshot save failed\n");
     std::abort();
   }
 
-  // Correctness gate before timing: both views answer like the store.
+  // Correctness gate before timing: the view answers like the store.
   {
-    auto v1 = serve::KbView::FromSnapshot(v1_path);
-    auto v2 = serve::KbView::FromSnapshot(v2_path);
-    if (!v1.ok() || !v2.ok() || !v2->mapped() ||
-        v1->num_triples() != store.num_triples() ||
-        v2->num_triples() != store.num_triples()) {
-      std::fprintf(stderr, "FATAL: cold-start views disagree with store\n");
+    auto view = serve::KbView::FromSnapshot(path);
+    if (!view.ok() || !view->mapped() ||
+        view->num_triples() != store.num_triples()) {
+      std::fprintf(stderr, "FATAL: cold-start view disagrees with store\n");
       std::abort();
     }
     Rng rng(7);
@@ -272,59 +229,40 @@ void PrintColdStartReport(obs::BenchSuite* suite) {
       const rdf::Triple& t = store.triple(rng.Index(store.num_triples()));
       rdf::TriplePattern pattern{t.subject, t.predicate, 0};
       auto expected = store.Match(pattern);
-      auto a = v1->Match(pattern);
-      auto b = v2->Match(pattern);
-      std::sort(a.begin(), a.end());
-      std::sort(b.begin(), b.end());
-      if (a != expected || b != expected) {
+      auto got = view->Match(pattern);
+      std::sort(got.begin(), got.end());
+      if (got != expected) {
         std::fprintf(stderr, "FATAL: cold-start match mismatch at %d\n", i);
         std::abort();
       }
     }
   }
 
-  auto min_open_ms = [](const std::string& path, int reps) {
-    double best = 1e300;
-    for (int r = 0; r < reps; ++r) {
-      Stopwatch watch;
-      auto view = serve::KbView::FromSnapshot(path);
-      benchmark::DoNotOptimize(view.ok() && view->num_triples() > 0);
-      best = std::min(best, watch.ElapsedMillis());
-    }
-    return best;
-  };
-  constexpr int kRepsV1 = 3;
-  constexpr int kRepsV2 = 9;
-  double v1_ms = min_open_ms(v1_path, kRepsV1);
-  double v2_ms = min_open_ms(v2_path, kRepsV2);
-  double speedup = v2_ms > 0 ? v1_ms / v2_ms : 0.0;
+  constexpr int kReps = 9;
+  double open_ms = 1e300;
+  for (int r = 0; r < kReps; ++r) {
+    Stopwatch watch;
+    auto view = serve::KbView::FromSnapshot(path);
+    benchmark::DoNotOptimize(view.ok() && view->num_triples() > 0);
+    open_ms = std::min(open_ms, watch.ElapsedMillis());
+  }
 
-  TextTable table({"Snapshot", "File (MB)", "Open (ms)", "Speedup"});
+  TextTable table({"Snapshot", "File (MB)", "Open (ms)"});
   table.set_title("Cold start to serving view, " +
                   std::to_string(store.num_triples()) +
                   " distinct triples");
-  table.AddRow({"v1 parse + intern + sort",
-                FormatDouble(double(v1_stats.bytes) / 1e6, 1),
-                FormatDouble(v1_ms, 1), "1.0x"});
-  table.AddRow({"v2 mmap + validate",
-                FormatDouble(double(v2_stats.bytes) / 1e6, 1),
-                FormatDouble(v2_ms, 1), FormatDouble(speedup, 1) + "x"});
+  table.AddRow({"mmap + validate", FormatDouble(double(stats.bytes) / 1e6, 1),
+                FormatDouble(open_ms, 1)});
   std::printf("%s\n", table.ToString().c_str());
-  std::printf("Budget: >= 10x — %s\n\n",
-              speedup >= 10.0 ? "within budget" : "OVER BUDGET");
+  std::printf("Budget: <= %.0f ms — %s\n\n", kColdStartBudgetMs,
+              open_ms <= kColdStartBudgetMs ? "within budget" : "OVER BUDGET");
 
-  suite->Add({"cold_start_v1_ms", v1_ms, "ms", kRepsV1,
+  suite->Add({"cold_start_v2_ms", open_ms, "ms", kReps,
               {{"triples", double(store.num_triples())},
-               {"file_bytes", double(v1_stats.bytes)}}});
-  suite->Add({"cold_start_v2_ms", v2_ms, "ms", kRepsV2,
-              {{"triples", double(store.num_triples())},
-               {"file_bytes", double(v2_stats.bytes)}}});
-  suite->Add({"cold_start_speedup", speedup, "x", kRepsV1,
-              {{"budget_min", 10.0},
-               {"triples", double(store.num_triples())}}});
+               {"file_bytes", double(stats.bytes)},
+               {"budget_max", kColdStartBudgetMs}}});
 
-  std::remove(v1_path.c_str());
-  std::remove(v2_path.c_str());
+  std::remove(path.c_str());
 }
 
 }  // namespace

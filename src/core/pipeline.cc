@@ -175,8 +175,7 @@ Status DecodeClaimCheckpoint(const rdf::TripleStore& store,
 }
 
 /// Shared by the checkpoint save and load stages: volume counters plus the
-/// wire format version and per-section sizes (v1 sizes include section
-/// framing; v2 sizes are exact payloads).
+/// wire format version and per-section sizes.
 void RecordSnapshotMetrics(const rdf::SnapshotStats& snap) {
   AKB_COUNTER_ADD("akb.snapshot.bytes", int64_t(snap.bytes));
   AKB_COUNTER_ADD("akb.snapshot.terms", int64_t(snap.terms));

@@ -101,10 +101,9 @@ struct PipelineConfig {
   /// After claim assembly, checkpoint the phase-1 claims KB to this path
   /// as a binary snapshot (see rdf/snapshot.h). Empty = no checkpoint.
   std::string save_kb_path;
-  /// Wire format for save_kb_path: v1 streams the portable varint
-  /// archive, v2 writes the page-aligned zero-copy serve image that
-  /// KbView::FromSnapshot mmaps without parsing. Loads auto-detect.
-  rdf::SnapshotFormat snapshot_format = rdf::SnapshotFormat::kV1;
+  /// Wire format for save_kb_path; kV2, the page-aligned zero-copy serve
+  /// image that KbView::FromSnapshot mmaps without parsing, is the only one.
+  rdf::SnapshotFormat snapshot_format = rdf::SnapshotFormat::kV2;
 };
 
 /// Timing + volume of one pipeline stage.

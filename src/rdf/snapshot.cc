@@ -2,11 +2,17 @@
 
 #include <array>
 #include <bit>
+#include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <type_traits>
 #include <vector>
+
+#include <fcntl.h>
+#include <unistd.h>
 
 #if defined(__x86_64__)
 #include <immintrin.h>
@@ -27,57 +33,11 @@ static_assert(sizeof(Triple) == 12 && std::is_trivially_copyable_v<Triple>,
 
 namespace {
 
+/// Magic of the retired streamed format, recognized only to name it in
+/// the error.
 constexpr char kMagicV1[8] = {'A', 'K', 'B', 'S', 'N', 'A', 'P', '1'};
-constexpr uint8_t kSectionTerms = 1;
-constexpr uint8_t kSectionTriples = 2;
-constexpr uint8_t kSectionClaims = 3;
-constexpr uint8_t kEndMarker = 0xFF;
-/// Writer flushes blocks around this size; bigger records get a block of
-/// their own.
-constexpr size_t kBlockTarget = 64 * 1024;
-/// Reader refuses blocks beyond this, so a corrupted length varint cannot
-/// trigger a giant allocation.
-constexpr uint64_t kMaxBlockLen = 16ull * 1024 * 1024;
 
 // ------------------------------------------------------------ primitives
-
-void WriteU32(std::ostream& out, uint32_t v) {
-  char bytes[4] = {char(v & 0xFF), char((v >> 8) & 0xFF),
-                   char((v >> 16) & 0xFF), char((v >> 24) & 0xFF)};
-  out.write(bytes, 4);
-}
-
-bool ReadU32(std::istream& in, uint32_t* out) {
-  unsigned char bytes[4];
-  if (!in.read(reinterpret_cast<char*>(bytes), 4)) return false;
-  *out = uint32_t(bytes[0]) | uint32_t(bytes[1]) << 8 |
-         uint32_t(bytes[2]) << 16 | uint32_t(bytes[3]) << 24;
-  return true;
-}
-
-void WriteStreamVarint(std::ostream& out, uint64_t v) {
-  while (v >= 0x80) {
-    out.put(char((v & 0x7F) | 0x80));
-    v >>= 7;
-  }
-  out.put(char(v));
-}
-
-bool ReadStreamVarint(std::istream& in, uint64_t* out) {
-  uint64_t v = 0;
-  int shift = 0;
-  for (int i = 0; i < 10; ++i) {
-    int c = in.get();
-    if (c == std::char_traits<char>::eof()) return false;
-    v |= uint64_t(c & 0x7F) << shift;
-    if (!(c & 0x80)) {
-      *out = v;
-      return true;
-    }
-    shift += 7;
-  }
-  return false;  // overlong varint
-}
 
 void AppendVarint(std::string* out, uint64_t v) {
   while (v >= 0x80) {
@@ -137,117 +97,6 @@ Status ParseU64(std::string_view block, size_t* pos, uint64_t* out,
   return Status::OK();
 }
 
-// --------------------------------------------------------- section writer
-
-/// Streams one v1 section: records accumulate in a single block buffer
-/// which flushes at kBlockTarget, feeding the running CRC; End() writes
-/// the block terminator and the section CRC.
-class SectionWriter {
- public:
-  explicit SectionWriter(std::ostream* out) : out_(out) {}
-
-  void Begin(uint8_t id, uint64_t record_count) {
-    out_->put(char(id));
-    WriteStreamVarint(*out_, record_count);
-    crc_ = 0;
-    buffer_.clear();
-  }
-
-  void Add(std::string_view record) {
-    if (record.size() > kMaxBlockLen) {
-      oversized_record_ = true;
-      return;
-    }
-    if (!buffer_.empty() && buffer_.size() + record.size() > kBlockTarget) {
-      Flush();
-    }
-    buffer_.append(record);
-  }
-
-  void End() {
-    if (!buffer_.empty()) Flush();
-    WriteStreamVarint(*out_, 0);
-    WriteU32(*out_, crc_);
-  }
-
-  bool oversized_record() const { return oversized_record_; }
-
- private:
-  void Flush() {
-    WriteStreamVarint(*out_, buffer_.size());
-    out_->write(buffer_.data(), std::streamsize(buffer_.size()));
-    crc_ = Crc32c(buffer_, crc_);
-    buffer_.clear();
-  }
-
-  std::ostream* out_;
-  std::string buffer_;
-  uint32_t crc_ = 0;
-  bool oversized_record_ = false;
-};
-
-// --------------------------------------------------------- section reader
-
-/// Streams one v1 section through `parse_record(block, &pos)`, which
-/// consumes exactly one record; records never span blocks, so each block
-/// parses to completion. Validates the declared record count and the
-/// section CRC.
-template <typename RecordFn>
-Status ReadSection(std::istream& in, uint8_t expected_id, const char* name,
-                   RecordFn parse_record) {
-  int id = in.get();
-  if (id == std::char_traits<char>::eof()) {
-    return Status::DataLoss(std::string("truncated before section ") + name);
-  }
-  if (uint8_t(id) != expected_id) {
-    return Status::DataLoss(std::string("expected section ") + name);
-  }
-  uint64_t declared = 0;
-  if (!ReadStreamVarint(in, &declared)) {
-    return Status::DataLoss(std::string("truncated record count in ") + name);
-  }
-  uint64_t parsed = 0;
-  uint32_t crc = 0;
-  std::string block;
-  for (;;) {
-    uint64_t len = 0;
-    if (!ReadStreamVarint(in, &len)) {
-      return Status::DataLoss(std::string("truncated block length in ") +
-                              name);
-    }
-    if (len == 0) break;
-    if (len > kMaxBlockLen) {
-      return Status::DataLoss(std::string("oversized block in ") + name);
-    }
-    block.resize(size_t(len));
-    if (!in.read(block.data(), std::streamsize(len))) {
-      return Status::DataLoss(std::string("truncated block in ") + name);
-    }
-    crc = Crc32c(block, crc);
-    size_t pos = 0;
-    while (pos < block.size()) {
-      if (parsed >= declared) {
-        return Status::DataLoss(std::string("more records than declared in ") +
-                                name);
-      }
-      AKB_RETURN_IF_ERROR(parse_record(std::string_view(block), &pos));
-      ++parsed;
-    }
-  }
-  if (parsed != declared) {
-    return Status::DataLoss(std::string("fewer records than declared in ") +
-                            name);
-  }
-  uint32_t stored_crc = 0;
-  if (!ReadU32(in, &stored_crc)) {
-    return Status::DataLoss(std::string("truncated CRC in ") + name);
-  }
-  if (stored_crc != crc) {
-    return Status::DataLoss(std::string("CRC mismatch in section ") + name);
-  }
-  return Status::OK();
-}
-
 // -------------------------------------------------------------- CRC32c
 
 /// Table-driven byte loop over the pre-xored running state.
@@ -273,7 +122,7 @@ uint32_t Crc32cSoftware(std::string_view data, uint32_t crc) {
 /// The SSE4.2 crc32 instruction computes exactly the reflected Castagnoli
 /// update the table loop does, 8 bytes per instruction — the difference
 /// between ~0.4 GB/s and ~15 GB/s, which is what keeps whole-file CRC
-/// validation negligible next to a v1 parse.
+/// validation cheap enough for an mmap cold start.
 __attribute__((target("sse4.2"))) uint32_t Crc32cHardware(
     std::string_view data, uint32_t crc) {
   const unsigned char* p =
@@ -423,17 +272,6 @@ class V2Writer {
 
 }  // namespace
 
-Result<SnapshotFormat> ProbeSnapshotFormat(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open '" + path + "' for reading");
-  char magic[8];
-  if (in.read(magic, sizeof(magic))) {
-    if (std::memcmp(magic, kMagicV1, 8) == 0) return SnapshotFormat::kV1;
-    if (std::memcmp(magic, v2::kMagic, 8) == 0) return SnapshotFormat::kV2;
-  }
-  return Status::ParseError("'" + path + "' is not an akb snapshot");
-}
-
 // ------------------------------------------------------------ v2 reader
 
 Result<SnapshotV2View> OpenSnapshotV2(const std::string& path) {
@@ -442,8 +280,13 @@ Result<SnapshotV2View> OpenSnapshotV2(const std::string& path) {
   const char* base = mapping->data();
   const uint64_t size = mapping->size();
 
+  if (size >= 8 && std::memcmp(base, kMagicV1, 8) == 0) {
+    return Status::Unimplemented(
+        "'" + path + "' is a v1 snapshot, which this build no longer "
+        "reads; regenerate it with `akb_cli pipeline --save-kb`");
+  }
   if (size < 8 || std::memcmp(base, v2::kMagic, 8) != 0) {
-    return Status::ParseError("'" + path + "' is not a v2 akb snapshot");
+    return Status::ParseError("'" + path + "' is not an akb snapshot");
   }
   const uint64_t min_size = v2::kHeaderBytes +
                             v2::kNumSections * v2::kSectionEntryBytes +
@@ -453,13 +296,13 @@ Result<SnapshotV2View> OpenSnapshotV2(const std::string& path) {
                             std::to_string(size) + " bytes)");
   }
   const uint32_t version = LoadU32(base + 8);
-  if (version > kSnapshotVersionV2) {
+  if (version > kSnapshotVersion) {
     return Status::Unimplemented(
         "snapshot format version " + std::to_string(version) +
         " is not supported (this build reads up to version " +
-        std::to_string(kSnapshotVersionV2) + ")");
+        std::to_string(kSnapshotVersion) + ")");
   }
-  if (version != kSnapshotVersionV2) {
+  if (version != kSnapshotVersion) {
     return Status::DataLoss("v2 snapshot header carries version " +
                             std::to_string(version));
   }
@@ -654,7 +497,7 @@ Result<SnapshotV2View> OpenSnapshotV2(const std::string& path) {
     }
   }
 
-  view.stats.version = kSnapshotVersionV2;
+  view.stats.version = kSnapshotVersion;
   view.stats.bytes = size;
   view.stats.terms = num_terms;
   view.stats.triples = num_triples;
@@ -667,103 +510,60 @@ Result<SnapshotV2View> OpenSnapshotV2(const std::string& path) {
   return view;
 }
 
-// ------------------------------------------------------------ v1 writer
+// --------------------------------------------------------------- writer
 
-Status TripleStore::SaveSnapshot(const std::string& path,
-                                 SnapshotStats* stats) const {
-  return SaveSnapshot(path, SnapshotFormat::kV1, stats);
-}
+namespace {
 
-Status TripleStore::SaveSnapshot(const std::string& path,
-                                 SnapshotFormat format,
-                                 SnapshotStats* stats) const {
-  switch (format) {
-    case SnapshotFormat::kV1:
-      return SaveSnapshotV1(path, stats);
-    case SnapshotFormat::kV2:
-      return SaveSnapshotV2(path, stats);
+/// Opens `path` with `flags` and fsyncs it — for a file, its data; for a
+/// directory, its entries (so a rename into it is durable).
+Status FsyncPath(const std::string& path, int flags) {
+  const int fd = ::open(path.c_str(), flags | O_CLOEXEC);
+  if (fd < 0) {
+    return Status::IoError("cannot open '" + path +
+                           "' to sync: " + std::strerror(errno));
   }
-  return Status::InvalidArgument("unknown snapshot format");
-}
-
-Status TripleStore::SaveSnapshotV1(const std::string& path,
-                                   SnapshotStats* stats) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return Status::IoError("cannot open '" + path + "' for writing");
-  }
-  out.write(kMagicV1, sizeof(kMagicV1));
-  WriteU32(out, kSnapshotVersion);
-
-  SectionWriter section(&out);
-  std::string record;
-
-  uint64_t terms_start = uint64_t(out.tellp());
-  section.Begin(kSectionTerms, dict_.size());
-  for (TermId id = 1; id <= dict_.size(); ++id) {
-    const Term& term = dict_.Lookup(id);
-    record.clear();
-    record.push_back(char(term.kind));
-    AppendVarint(&record, term.lexical.size());
-    record += term.lexical;
-    section.Add(record);
-  }
-  section.End();
-
-  uint64_t triples_start = uint64_t(out.tellp());
-  section.Begin(kSectionTriples, triples_.size());
-  for (const Triple& t : triples_) {
-    record.clear();
-    AppendVarint(&record, t.subject);
-    AppendVarint(&record, t.predicate);
-    AppendVarint(&record, t.object);
-    section.Add(record);
-  }
-  section.End();
-
-  uint64_t claims_start = uint64_t(out.tellp());
-  section.Begin(kSectionClaims, claims_.size());
-  for (const Claim& c : claims_) {
-    record.clear();
-    AppendVarint(&record, c.triple.subject);
-    AppendVarint(&record, c.triple.predicate);
-    AppendVarint(&record, c.triple.object);
-    record.push_back(char(c.provenance.extractor));
-    uint64_t bits = std::bit_cast<uint64_t>(c.provenance.confidence);
-    for (int i = 0; i < 8; ++i) record.push_back(char((bits >> (8 * i)) & 0xFF));
-    AppendVarint(&record, c.provenance.source.size());
-    record += c.provenance.source;
-    section.Add(record);
-  }
-  section.End();
-  uint64_t claims_end = uint64_t(out.tellp());
-
-  if (section.oversized_record()) {
-    return Status::InvalidArgument(
-        "store contains a term or source larger than the 16 MiB record "
-        "limit");
-  }
-  out.put(char(kEndMarker));
-  out.flush();
-  if (!out) return Status::IoError("write to '" + path + "' failed");
-  if (stats != nullptr) {
-    *stats = SnapshotStats{};
-    stats->version = kSnapshotVersion;
-    stats->bytes = uint64_t(out.tellp());
-    stats->terms = dict_.size();
-    stats->triples = triples_.size();
-    stats->claims = claims_.size();
-    stats->dict_bytes = triples_start - terms_start;
-    stats->triples_bytes = claims_start - triples_start;
-    stats->claims_bytes = claims_end - claims_start;
+  const bool synced = ::fsync(fd) == 0;
+  const int error = errno;
+  ::close(fd);
+  if (!synced) {
+    return Status::IoError("fsync of '" + path +
+                           "' failed: " + std::strerror(error));
   }
   return Status::OK();
 }
 
-// ------------------------------------------------------------ v2 writer
+/// Makes the fully written `tmp` durable, atomically replaces `path` with
+/// it, and makes the rename durable. Readers that mapped the old `path`
+/// keep its inode, so they go on serving the old bytes.
+Status PublishFile(const std::string& tmp, const std::string& path) {
+  AKB_RETURN_IF_ERROR(FsyncPath(tmp, O_RDONLY));
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    return Status::IoError("cannot rename '" + tmp + "' over '" + path +
+                           "': " + std::strerror(errno));
+  }
+  const std::string dir = std::filesystem::path(path).parent_path().string();
+  return FsyncPath(dir.empty() ? "." : dir, O_RDONLY | O_DIRECTORY);
+}
 
-Status TripleStore::SaveSnapshotV2(const std::string& path,
-                                   SnapshotStats* stats) const {
+}  // namespace
+
+Status TripleStore::SaveSnapshot(const std::string& path,
+                                 SnapshotFormat /*format: kV2 only*/,
+                                 SnapshotStats* stats) const {
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
+  SnapshotStats written;
+  Status status = WriteSnapshotFile(tmp, &written);
+  if (status.ok()) status = PublishFile(tmp, path);
+  if (!status.ok()) {
+    std::remove(tmp.c_str());
+    return status;
+  }
+  if (stats != nullptr) *stats = written;
+  return Status::OK();
+}
+
+Status TripleStore::WriteSnapshotFile(const std::string& path,
+                                      SnapshotStats* stats) const {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) {
     return Status::IoError("cannot open '" + path + "' for writing");
@@ -772,7 +572,7 @@ Status TripleStore::SaveSnapshotV2(const std::string& path,
   // Header page.
   std::string header(size_t(v2::kHeaderBytes), '\0');
   std::memcpy(header.data(), v2::kMagic, 8);
-  uint32_t version = kSnapshotVersionV2;
+  uint32_t version = kSnapshotVersion;
   std::memcpy(header.data() + 8, &version, 4);
   uint32_t header_crc = Crc32c(std::string_view(header.data(), 12));
   std::memcpy(header.data() + 12, &header_crc, 4);
@@ -781,7 +581,7 @@ Status TripleStore::SaveSnapshotV2(const std::string& path,
   writer.WriteRaw(header.data(), header.size());
 
   // Dictionary arena: offsets, kinds, contiguous bytes — id order, so
-  // TermIds stay implicit exactly as in v1.
+  // TermIds stay implicit.
   const uint64_t n_terms = dict_.size();
   std::vector<uint64_t> offsets(size_t(n_terms) + 1, 0);
   std::vector<uint8_t> kinds(size_t(n_terms), 0);
@@ -825,7 +625,7 @@ Status TripleStore::SaveSnapshotV2(const std::string& path,
                         index.keys.size());
   }
 
-  // Claims blob: v1 record layout, streamed in bounded chunks.
+  // Claims blob, streamed in bounded chunks.
   writer.Begin(v2::kClaims, claims_.size());
   {
     constexpr size_t kChunkTarget = 4 * 1024 * 1024;
@@ -880,11 +680,11 @@ Status TripleStore::SaveSnapshotV2(const std::string& path,
   trailer.append(v2::kTrailerMagic, 8);
   out.write(trailer.data(), std::streamsize(trailer.size()));
 
-  out.flush();
+  out.close();
   if (!out) return Status::IoError("write to '" + path + "' failed");
   if (stats != nullptr) {
     *stats = SnapshotStats{};
-    stats->version = kSnapshotVersionV2;
+    stats->version = kSnapshotVersion;
     stats->bytes = footer_offset + uint64_t(footer.size()) + v2::kTrailerBytes;
     stats->terms = n_terms;
     stats->triples = triples_.size();
@@ -898,165 +698,10 @@ Status TripleStore::SaveSnapshotV2(const std::string& path,
   return Status::OK();
 }
 
-// ------------------------------------------------------------ load paths
+// ----------------------------------------------------------------- loader
 
 Status TripleStore::LoadSnapshot(const std::string& path,
                                  SnapshotStats* stats) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open '" + path + "' for reading");
-  in.seekg(0, std::ios::end);
-  uint64_t file_bytes = uint64_t(in.tellg());
-  in.seekg(0, std::ios::beg);
-
-  char magic[8];
-  if (!in.read(magic, sizeof(magic))) {
-    return Status::ParseError("'" + path + "' is not an akb snapshot");
-  }
-  if (std::memcmp(magic, kMagicV1, 8) == 0) {
-    return LoadSnapshotV1(in, file_bytes, stats);
-  }
-  if (std::memcmp(magic, v2::kMagic, 8) == 0) {
-    in.close();
-    return LoadSnapshotV2(path, stats);
-  }
-  return Status::ParseError("'" + path + "' is not an akb snapshot");
-}
-
-Status TripleStore::LoadSnapshotV1(std::istream& in, uint64_t file_bytes,
-                                   SnapshotStats* stats) {
-  uint32_t version = 0;
-  if (!ReadU32(in, &version)) {
-    return Status::DataLoss("truncated snapshot version");
-  }
-  if (version == 0 || version > kSnapshotVersion) {
-    return Status::Unimplemented(
-        "snapshot format version " + std::to_string(version) +
-        " is not supported (this build reads up to version " +
-        std::to_string(kSnapshotVersion) + ")");
-  }
-
-  // Build into a fresh store; *this is replaced only after every section
-  // validates, so a corrupt snapshot can never leave a partial store.
-  TripleStore loaded;
-
-  uint64_t terms_start = uint64_t(in.tellg());
-  AKB_RETURN_IF_ERROR(ReadSection(
-      in, kSectionTerms, "terms",
-      [&](std::string_view block, size_t* pos) -> Status {
-        uint8_t kind = 0;
-        AKB_RETURN_IF_ERROR(ParseByte(block, pos, &kind, "terms"));
-        if (kind > uint8_t(TermKind::kBlank)) {
-          return Status::DataLoss("term kind out of range");
-        }
-        uint64_t len = 0;
-        AKB_RETURN_IF_ERROR(ParseVarint(block, pos, &len, "terms"));
-        std::string_view lexical;
-        AKB_RETURN_IF_ERROR(ParseBytes(block, pos, len, &lexical, "terms"));
-        Term term{TermKind(kind), std::string(lexical)};
-        TermId id = loaded.dict_.Intern(term);
-        if (id != loaded.dict_.size()) {
-          return Status::DataLoss("duplicate term in dictionary section");
-        }
-        return Status::OK();
-      }));
-
-  auto parse_term_id = [&](std::string_view block, size_t* pos, TermId* out,
-                           const char* name) -> Status {
-    uint64_t id = 0;
-    AKB_RETURN_IF_ERROR(ParseVarint(block, pos, &id, name));
-    if (id < 1 || id > loaded.dict_.size()) {
-      return Status::DataLoss(std::string("term id out of range in ") + name);
-    }
-    *out = TermId(id);
-    return Status::OK();
-  };
-
-  uint64_t triples_start = uint64_t(in.tellg());
-  AKB_RETURN_IF_ERROR(ReadSection(
-      in, kSectionTriples, "triples",
-      [&](std::string_view block, size_t* pos) -> Status {
-        Triple t;
-        AKB_RETURN_IF_ERROR(parse_term_id(block, pos, &t.subject, "triples"));
-        AKB_RETURN_IF_ERROR(
-            parse_term_id(block, pos, &t.predicate, "triples"));
-        AKB_RETURN_IF_ERROR(parse_term_id(block, pos, &t.object, "triples"));
-        if (loaded.triple_index_.count(t) > 0) {
-          return Status::DataLoss("duplicate distinct triple");
-        }
-        size_t ti = loaded.triples_.size();
-        loaded.triples_.push_back(t);
-        loaded.claims_of_.emplace_back();
-        loaded.triple_index_.emplace(t, ti);
-        loaded.by_subject_[t.subject].push_back(ti);
-        loaded.by_predicate_[t.predicate].push_back(ti);
-        loaded.by_object_[t.object].push_back(ti);
-        return Status::OK();
-      }));
-
-  uint64_t claims_start = uint64_t(in.tellg());
-  AKB_RETURN_IF_ERROR(ReadSection(
-      in, kSectionClaims, "claims",
-      [&](std::string_view block, size_t* pos) -> Status {
-        Triple t;
-        AKB_RETURN_IF_ERROR(parse_term_id(block, pos, &t.subject, "claims"));
-        AKB_RETURN_IF_ERROR(parse_term_id(block, pos, &t.predicate, "claims"));
-        AKB_RETURN_IF_ERROR(parse_term_id(block, pos, &t.object, "claims"));
-        uint8_t extractor = 0;
-        AKB_RETURN_IF_ERROR(ParseByte(block, pos, &extractor, "claims"));
-        if (extractor > uint8_t(ExtractorKind::kOther)) {
-          return Status::DataLoss("extractor kind out of range");
-        }
-        uint64_t bits = 0;
-        AKB_RETURN_IF_ERROR(ParseU64(block, pos, &bits, "claims"));
-        double confidence = std::bit_cast<double>(bits);
-        if (!std::isfinite(confidence)) {
-          return Status::DataLoss("non-finite claim confidence");
-        }
-        uint64_t len = 0;
-        AKB_RETURN_IF_ERROR(ParseVarint(block, pos, &len, "claims"));
-        std::string_view source;
-        AKB_RETURN_IF_ERROR(ParseBytes(block, pos, len, &source, "claims"));
-        auto it = loaded.triple_index_.find(t);
-        if (it == loaded.triple_index_.end()) {
-          return Status::DataLoss("claim references a triple absent from "
-                                  "the triples section");
-        }
-        loaded.claims_of_[it->second].push_back(loaded.claims_.size());
-        loaded.claims_.push_back(
-            Claim{t, Provenance{std::string(source), ExtractorKind(extractor),
-                                confidence}});
-        return Status::OK();
-      }));
-  uint64_t claims_end = uint64_t(in.tellg());
-
-  int end = in.get();
-  if (end == std::char_traits<char>::eof()) {
-    return Status::DataLoss("truncated before end marker");
-  }
-  if (uint8_t(end) != kEndMarker) {
-    return Status::DataLoss("bad end marker");
-  }
-  if (in.peek() != std::char_traits<char>::eof()) {
-    return Status::DataLoss("trailing bytes after end marker");
-  }
-
-  if (stats != nullptr) {
-    *stats = SnapshotStats{};
-    stats->version = version;
-    stats->bytes = file_bytes;
-    stats->terms = loaded.dict_.size();
-    stats->triples = loaded.triples_.size();
-    stats->claims = loaded.claims_.size();
-    stats->dict_bytes = triples_start - terms_start;
-    stats->triples_bytes = claims_start - triples_start;
-    stats->claims_bytes = claims_end - claims_start;
-  }
-  *this = std::move(loaded);
-  return Status::OK();
-}
-
-Status TripleStore::LoadSnapshotV2(const std::string& path,
-                                   SnapshotStats* stats) {
   AKB_ASSIGN_OR_RETURN(SnapshotV2View v, OpenSnapshotV2(path));
 
   TripleStore loaded;
@@ -1082,7 +727,7 @@ Status TripleStore::LoadSnapshotV2(const std::string& path,
     loaded.by_object_[t.object].push_back(ti);
   }
 
-  // The claims blob is CRC-clean; parse it with the v1 record grammar.
+  // The claims blob is CRC-clean; parse its records.
   const std::string_view block = v.claims;
   size_t pos = 0;
   auto parse_term_id = [&](size_t* p, TermId* out) -> Status {

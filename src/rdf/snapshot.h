@@ -1,33 +1,17 @@
 // Binary snapshots of a TripleStore — the persistence layer behind the
 // pipeline's Phase 1 -> Phase 2 handoff and the serve path's cold start.
 //
-// Two wire formats share one error taxonomy and one Save/Load surface:
-//
-// ## Version 1 — streamed, varint-packed (portable archive)
-//
-//   file   := magic[8]="AKBSNAP1" u32 version section* end-marker(0xFF)
-//   section:= u8 id, varint record_count, block*, varint 0, u32 crc32c
-//   block  := varint byte_len (> 0), payload bytes
-//
-// Three sections in fixed order: terms (id 1: u8 kind, varint len, bytes —
-// the dictionary in id order, so TermIds are implicit), distinct triples
-// (id 2: varint s/p/o term ids), and claims (id 3: varint s/p/o, u8
-// extractor, u64 confidence bits, varint source len, bytes). Records never
-// span blocks, blocks are bounded, and each section's CRC32c covers its
-// concatenated payload, so both writer and reader stream with one block of
-// buffering and corruption anywhere is detected before any state escapes.
-//
-// ## Version 2 — page-aligned, zero-copy (serve image)
-//
-// The on-disk bytes *are* the serve-time structures: a flat dictionary
-// arena (u64 offset table + u8 kinds + contiguous term bytes), the raw
-// triple array, and the three sorted permutation indexes (u32 order + the
-// packed u64 prefix keys for SPO/POS/OSP — exactly what serve::KbView
-// binary-searches), plus a varint claims blob for pipeline warm-starts.
+// One page-aligned, zero-copy wire format, "v2" (the streamed v1 archive
+// of earlier builds is no longer read). The on-disk bytes *are* the
+// serve-time structures: a flat dictionary arena (u64 offset table + u8
+// kinds + contiguous term bytes), the raw triple array, and the three
+// sorted permutation indexes (u32 order + the packed u64 prefix keys for
+// SPO/POS/OSP — exactly what serve::KbView binary-searches), plus a
+// varint claims blob for pipeline warm-starts.
 // Every section starts on a 4 KiB boundary and carries its own CRC32c; a
 // footer indexes the sections and a fixed trailer at EOF carries the
 // footer location, the element counts, the total file size, and a
-// whole-file CRC. Loading a v2 snapshot into a serve view is therefore
+// whole-file CRC. Loading a snapshot into a serve view is therefore
 // mmap + CRC/structure validation + pointer fixup — no parse, no sort —
 // and N processes serving one snapshot share one physical copy through
 // the page cache.
@@ -41,15 +25,24 @@
 //              u32 section_count, u64 terms, u64 triples, u64 claims,
 //              u64 file_bytes, u32 file_crc, u32 0,
 //              magic[8]="AKB2TRLR"             (72 bytes, at EOF)
+//   claims  := record*; record := varint s, varint p, varint o,
+//              u8 extractor, u64le confidence bits, varint source_len,
+//              source bytes
 //
 // file_crc covers [0, footer end) — everything but the trailer, padding
 // included — and every trailer field is either checked against the file
 // or covered by a magic/CRC, so any single-byte corruption anywhere is a
 // typed failure.
 //
-// Error taxonomy (both formats): kParseError = not a snapshot at all (bad
-// magic); kUnimplemented = produced by a newer format version; kDataLoss =
-// right format, damaged bytes (CRC mismatch, truncation, structural
+// Saves are crash-safe: the image is written to `path.tmp.<pid>`, fsynced,
+// renamed over `path`, and the directory is fsynced. A reader that has the
+// old file mapped keeps serving the old inode; a failed or interrupted
+// save leaves `path` exactly as it was.
+//
+// Error taxonomy: kParseError = not a snapshot at all (bad magic);
+// kUnimplemented = produced by a newer format version, or a v1 file
+// (magic "AKBSNAP1") this build no longer reads; kDataLoss = right
+// format, damaged bytes (CRC mismatch, truncation, structural
 // corruption); kIoError = the filesystem failed. LoadSnapshot never
 // leaves the target store partially filled.
 #ifndef AKB_RDF_SNAPSHOT_H_
@@ -66,21 +59,18 @@
 
 namespace akb::rdf {
 
-/// The wire formats a snapshot can be written in. Numeric values are the
-/// on-disk version numbers.
+/// The wire format a snapshot is written in; the numeric value is the
+/// on-disk version number. There is one format, kept as a named value so
+/// callers state what they write.
 enum class SnapshotFormat : uint32_t {
-  kV1 = 1,  ///< streamed varint archive — portable, smallest, parse on load
   kV2 = 2,  ///< page-aligned zero-copy serve image — mmap on load
 };
 
-/// Version-1 wire version (the streamed format's newest revision).
-inline constexpr uint32_t kSnapshotVersion = 1;
-/// Version-2 wire version (the zero-copy format).
-inline constexpr uint32_t kSnapshotVersionV2 = 2;
+/// The wire version this build writes and reads.
+inline constexpr uint32_t kSnapshotVersion = 2;
 
 /// Sizes of one snapshot, reported by save/load/inspect. Section byte
-/// counts are payload sizes (v1: including section framing; v2: exact
-/// section lengths, excluding alignment padding).
+/// counts are exact section lengths, excluding alignment padding.
 struct SnapshotStats {
   uint32_t version = 0;
   uint64_t bytes = 0;    ///< total file size
@@ -89,18 +79,14 @@ struct SnapshotStats {
   uint64_t claims = 0;   ///< provenanced claims
   uint64_t dict_bytes = 0;     ///< dictionary sections (arena / terms)
   uint64_t triples_bytes = 0;  ///< triple array / triples section
-  uint64_t index_bytes = 0;    ///< v2 only: SPO/POS/OSP order + key arrays
+  uint64_t index_bytes = 0;    ///< SPO/POS/OSP order + key arrays
   uint64_t claims_bytes = 0;   ///< claims section
 };
 
-/// Fully validates the snapshot at `path` (magic, version, structure, and
-/// every section CRC; either format) and returns its sizes without
-/// keeping the store.
+/// Fully validates the snapshot at `path` (magic, version, structure,
+/// every section CRC, and the claim records) and returns its sizes
+/// without keeping the store.
 Result<SnapshotStats> ReadSnapshotInfo(const std::string& path);
-
-/// Reads the leading magic of `path` and returns which snapshot format it
-/// claims to be. kIoError if unreadable, kParseError if neither magic.
-Result<SnapshotFormat> ProbeSnapshotFormat(const std::string& path);
 
 /// CRC32c (Castagnoli), bit-reflected, init/xor-out 0xFFFFFFFF. `seed` is
 /// the running value from a previous call, 0 to start. Uses the SSE4.2
@@ -136,7 +122,7 @@ enum SectionId : uint32_t {
   kPosKeys = 8,
   kOspOrder = 9,
   kOspKeys = 10,
-  kClaims = 11,      ///< varint claim records (v1 record layout)
+  kClaims = 11,      ///< varint claim records (grammar above)
 };
 
 }  // namespace snapshot_v2

@@ -3,7 +3,6 @@
 #define AKB_RDF_TRIPLE_STORE_H_
 
 #include <cstddef>
-#include <iosfwd>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -89,33 +88,25 @@ class TripleStore {
   /// All distinct objects for (subject, predicate), in insertion order.
   std::vector<TermId> ObjectsOf(TermId subject, TermId predicate) const;
 
-  /// Writes the store as a version-1 binary snapshot (see rdf/snapshot.h
-  /// for the format). Streaming: never buffers more than one block.
-  /// `stats` (optional) receives the written sizes.
+  /// Writes the store as a binary snapshot (see rdf/snapshot.h): the
+  /// page-aligned zero-copy serve image — dictionary arena, triple array,
+  /// prebuilt permutation indexes, and the claims, so it is lossless.
+  /// Crash-safe: the bytes go to `path.tmp.<pid>`, are fsynced, and are
+  /// renamed over `path`; on any error the temp file is removed and
+  /// `path` is left untouched. `stats` (optional) receives the sizes.
   Status SaveSnapshot(const std::string& path,
+                      SnapshotFormat format = SnapshotFormat::kV2,
                       SnapshotStats* stats = nullptr) const;
 
-  /// Writes the store in the requested snapshot format: kV1 streams the
-  /// portable varint archive, kV2 writes the page-aligned zero-copy serve
-  /// image (dictionary arena + triple array + prebuilt permutation
-  /// indexes). Both are lossless — claims included — so converting a
-  /// snapshot between formats round-trips exactly.
-  Status SaveSnapshot(const std::string& path, SnapshotFormat format,
-                      SnapshotStats* stats = nullptr) const;
-
-  /// Replaces this store's contents with the snapshot at `path`, either
-  /// format (dispatched on the file's magic). Every section is CRC-checked
-  /// and structurally validated; on any failure the store is left exactly
-  /// as it was (a partial snapshot never loads).
+  /// Replaces this store's contents with the snapshot at `path`. Every
+  /// section is CRC-checked and structurally validated; on any failure
+  /// the store is left exactly as it was (a partial snapshot never loads).
   Status LoadSnapshot(const std::string& path, SnapshotStats* stats = nullptr);
 
  private:
-  Status SaveSnapshotV1(const std::string& path, SnapshotStats* stats) const;
-  Status SaveSnapshotV2(const std::string& path, SnapshotStats* stats) const;
-  /// `in` is positioned just past the 8-byte magic.
-  Status LoadSnapshotV1(std::istream& in, uint64_t file_bytes,
-                        SnapshotStats* stats);
-  Status LoadSnapshotV2(const std::string& path, SnapshotStats* stats);
+  /// Writes the snapshot image to `path` in place (no publish step).
+  Status WriteSnapshotFile(const std::string& path,
+                           SnapshotStats* stats) const;
 
   Dictionary dict_;
   std::vector<Claim> claims_;

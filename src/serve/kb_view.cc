@@ -19,9 +19,7 @@ using rdf::TriplePattern;
 
 }  // namespace
 
-KbView::KbView(const rdf::TripleStore& store) { BuildFromStore(store); }
-
-void KbView::BuildFromStore(const rdf::TripleStore& store) {
+KbView::KbView(const rdf::TripleStore& store) {
   Stopwatch watch;
 
   owned_triples_.reserve(store.num_triples());
@@ -31,7 +29,7 @@ void KbView::BuildFromStore(const rdf::TripleStore& store) {
   triples_ = owned_triples_.data();
   num_triples_ = owned_triples_.size();
 
-  // Flatten the dictionary into the same arena shape a v2 snapshot
+  // Flatten the dictionary into the same arena shape a snapshot
   // carries, so both backings serve through identical span code.
   const rdf::Dictionary& dict = store.dictionary();
   num_terms_ = dict.size();
@@ -54,7 +52,7 @@ void KbView::BuildFromStore(const rdf::TripleStore& store) {
   term_kinds_ = owned_term_kinds_.data();
   term_bytes_ = owned_term_bytes_.data();
 
-  // Same builder as the v2 snapshot writer, so a built view and a mapped
+  // Same builder as the snapshot writer, so a built view and a mapped
   // view of the same store are byte-identical structures.
   for (int p = 0; p < 3; ++p) {
     owned_perm_[p] =
@@ -67,51 +65,34 @@ void KbView::BuildFromStore(const rdf::TripleStore& store) {
   AKB_HISTOGRAM_RECORD("akb.serve.view.build_micros", watch.ElapsedMicros());
 }
 
-void KbView::AdoptMapping(rdf::SnapshotV2View v2) {
-  Stopwatch watch;
-  triples_ = v2.triples;
-  num_triples_ = size_t(v2.num_triples);
-  term_offsets_ = v2.term_offsets;
-  term_kinds_ = v2.term_kinds;
-  term_bytes_ = v2.term_bytes;
-  num_terms_ = size_t(v2.num_terms);
-  for (int p = 0; p < 3; ++p) {
-    order_[p] = v2.order[p];
-    keys_[p] = v2.keys[p];
-  }
-  mapping_ = std::move(v2.mapping);
-
-  provenance_.snapshot_version = v2.stats.version;
-  provenance_.snapshot_bytes = v2.stats.bytes;
-  provenance_.dict_bytes = v2.stats.dict_bytes;
-  provenance_.triples_bytes = v2.stats.triples_bytes;
-  provenance_.index_bytes = v2.stats.index_bytes;
-  provenance_.claims_bytes = v2.stats.claims_bytes;
-  provenance_.mapped = true;
-
-  AKB_GAUGE_SET("akb.serve.view.triples", int64_t(num_triples_));
-  AKB_HISTOGRAM_RECORD("akb.serve.view.map_micros", watch.ElapsedMicros());
-}
-
 Result<KbView> KbView::FromSnapshot(const std::string& path) {
-  AKB_ASSIGN_OR_RETURN(rdf::SnapshotFormat format,
-                       rdf::ProbeSnapshotFormat(path));
+  AKB_ASSIGN_OR_RETURN(rdf::SnapshotV2View v2, rdf::OpenSnapshotV2(path));
+  Stopwatch watch;
   KbView view;
-  if (format == rdf::SnapshotFormat::kV2) {
-    AKB_ASSIGN_OR_RETURN(rdf::SnapshotV2View v2, rdf::OpenSnapshotV2(path));
-    view.AdoptMapping(std::move(v2));
-  } else {
-    rdf::TripleStore store;
-    rdf::SnapshotStats stats;
-    AKB_RETURN_IF_ERROR(store.LoadSnapshot(path, &stats));
-    view.BuildFromStore(store);
-    view.provenance_.snapshot_version = stats.version;
-    view.provenance_.snapshot_bytes = stats.bytes;
-    view.provenance_.dict_bytes = stats.dict_bytes;
-    view.provenance_.triples_bytes = stats.triples_bytes;
-    view.provenance_.claims_bytes = stats.claims_bytes;
+  view.triples_ = v2.triples;
+  view.num_triples_ = size_t(v2.num_triples);
+  view.term_offsets_ = v2.term_offsets;
+  view.term_kinds_ = v2.term_kinds;
+  view.term_bytes_ = v2.term_bytes;
+  view.num_terms_ = size_t(v2.num_terms);
+  for (int p = 0; p < 3; ++p) {
+    view.order_[p] = v2.order[p];
+    view.keys_[p] = v2.keys[p];
   }
-  view.provenance_.snapshot_path = path;
+  view.mapping_ = std::move(v2.mapping);
+
+  KbViewProvenance& prov = view.provenance_;
+  prov.snapshot_path = path;
+  prov.snapshot_version = v2.stats.version;
+  prov.snapshot_bytes = v2.stats.bytes;
+  prov.dict_bytes = v2.stats.dict_bytes;
+  prov.triples_bytes = v2.stats.triples_bytes;
+  prov.index_bytes = v2.stats.index_bytes;
+  prov.claims_bytes = v2.stats.claims_bytes;
+  prov.mapped = true;
+
+  AKB_GAUGE_SET("akb.serve.view.triples", int64_t(view.num_triples_));
+  AKB_HISTOGRAM_RECORD("akb.serve.view.map_micros", watch.ElapsedMicros());
   return view;
 }
 

@@ -15,11 +15,11 @@
 //
 // A view's data lives in one of two backings behind the same flat spans:
 //
-//  - owned: built from a TripleStore (or a v1 snapshot) — copies the
-//    triples, flattens the dictionary into an arena, sorts the indexes.
+//  - owned: built from a TripleStore — copies the triples, flattens the
+//    dictionary into an arena, sorts the indexes.
 //    O(n log n) construction; self-contained, the source store may be
 //    mutated or destroyed afterwards.
-//  - borrowed: opened from a v2 snapshot — the spans point straight into
+//  - borrowed: opened from a snapshot — the spans point straight into
 //    the CRC-validated mmap (rdf/snapshot.h), which the view keeps alive
 //    via shared_ptr. No parse, no sort: cold start is O(validation).
 //
@@ -70,11 +70,11 @@ class KbView {
   /// (flattened into an arena).
   explicit KbView(const rdf::TripleStore& store);
 
-  /// Opens the snapshot at `path` in whichever format its magic declares:
-  /// v1 loads + builds an owned view, v2 maps the file zero-copy. Same
-  /// error taxonomy as TripleStore::LoadSnapshot: kParseError (not a
-  /// snapshot), kUnimplemented (newer version), kDataLoss (damaged
-  /// bytes), kIoError (filesystem).
+  /// Maps the snapshot at `path` zero-copy: validate + pointer fixup, no
+  /// parse and no TripleStore. Same error taxonomy as
+  /// TripleStore::LoadSnapshot: kParseError (not a snapshot),
+  /// kUnimplemented (newer version or retired v1 file), kDataLoss
+  /// (damaged bytes), kIoError (filesystem).
   static Result<KbView> FromSnapshot(const std::string& path);
 
   KbView(KbView&&) = default;
@@ -136,7 +136,7 @@ class KbView {
   /// from FromSnapshot, empty otherwise.
   const KbViewProvenance& provenance() const { return provenance_; }
 
-  /// True when the view serves straight out of a mapped v2 snapshot.
+  /// True when the view serves straight out of a mapped snapshot.
   bool mapped() const { return mapping_ != nullptr; }
 
   /// Approximate resident bytes of the view (triples + 3 permutations
@@ -146,9 +146,6 @@ class KbView {
 
  private:
   KbView() = default;
-
-  void BuildFromStore(const rdf::TripleStore& store);
-  void AdoptMapping(rdf::SnapshotV2View v2);
 
   /// [begin, end) into the chosen permutation's order[] for `pattern`,
   /// or the full SPO range for the fully unbound pattern.
@@ -178,7 +175,7 @@ class KbView {
   std::vector<char> owned_term_bytes_;
   rdf::PermIndexData owned_perm_[3];
 
-  // Borrowed-mode backing: keeps the mapped v2 snapshot alive.
+  // Borrowed-mode backing: keeps the mapped snapshot alive.
   std::shared_ptr<rdf::MmapFile> mapping_;
 
   KbViewProvenance provenance_;

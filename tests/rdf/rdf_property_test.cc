@@ -91,7 +91,7 @@ TEST_P(RdfRoundTrip, SnapshotPreservesEverything) {
   std::string path = ::testing::TempDir() + "/prop_" +
                      std::to_string(GetParam()) + ".akbsnap";
   SnapshotStats stats;
-  ASSERT_TRUE(original.SaveSnapshot(path, &stats).ok());
+  ASSERT_TRUE(original.SaveSnapshot(path, SnapshotFormat::kV2, &stats).ok());
   EXPECT_EQ(stats.claims, original.num_claims());
 
   TripleStore restored;

@@ -1,13 +1,14 @@
-// Fault injection for both binary snapshot readers: every single-byte
+// Fault injection for the binary snapshot reader: every single-byte
 // corruption and every truncation point of a real snapshot must produce a
-// typed error — never a crash, hang, or silently partial store. The v2
-// tests additionally do footer surgery with resealed CRCs, proving the
-// structural checks exist independently of the checksums.
+// typed error — never a crash, hang, or silently partial store. Footer
+// surgery with resealed CRCs proves the structural checks exist
+// independently of the checksums.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -43,12 +44,6 @@ std::string SaveSampleSnapshot(const std::string& name) {
   return path;
 }
 
-std::string SaveSampleSnapshotV2(const std::string& name) {
-  std::string path = TempPath(name);
-  EXPECT_TRUE(SampleStore().SaveSnapshot(path, SnapshotFormat::kV2).ok());
-  return path;
-}
-
 std::string ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   std::ostringstream buffer;
@@ -66,91 +61,6 @@ bool IsTypedSnapshotError(const Status& status) {
          status.code() == StatusCode::kUnimplemented ||
          status.code() == StatusCode::kDataLoss;
 }
-
-TEST(SnapshotFaultTest, EveryBitFlipFailsTypedOrLoadsFully) {
-  std::string path = SaveSampleSnapshot("flip.akbsnap");
-  std::string pristine = ReadFile(path);
-  std::string mutant_path = TempPath("flip_mutant.akbsnap");
-  ASSERT_FALSE(pristine.empty());
-
-  size_t typed_failures = 0;
-  for (size_t i = 0; i < pristine.size(); ++i) {
-    for (uint8_t bit : {uint8_t(0x01), uint8_t(0x80)}) {
-      std::string mutant = pristine;
-      mutant[i] = char(uint8_t(mutant[i]) ^ bit);
-      WriteFile(mutant_path, mutant);
-      TripleStore store;
-      Status status = store.LoadSnapshot(mutant_path);
-      if (status.ok()) {
-        // The CRC is itself part of the file: a flip inside a stored CRC
-        // word cannot cancel out, so success is impossible anywhere.
-        ADD_FAILURE() << "flip of byte " << i << " bit " << int(bit)
-                      << " loaded successfully";
-      } else {
-        EXPECT_TRUE(IsTypedSnapshotError(status))
-            << "byte " << i << ": " << status.ToString();
-        ++typed_failures;
-      }
-    }
-  }
-  EXPECT_EQ(typed_failures, pristine.size() * 2);
-  std::remove(path.c_str());
-  std::remove(mutant_path.c_str());
-}
-
-TEST(SnapshotFaultTest, EveryTruncationFailsTyped) {
-  std::string path = SaveSampleSnapshot("trunc.akbsnap");
-  std::string pristine = ReadFile(path);
-  std::string mutant_path = TempPath("trunc_mutant.akbsnap");
-
-  for (size_t len = 0; len < pristine.size(); ++len) {
-    WriteFile(mutant_path, pristine.substr(0, len));
-    TripleStore store;
-    Status status = store.LoadSnapshot(mutant_path);
-    EXPECT_FALSE(status.ok()) << "truncated to " << len << " bytes";
-    EXPECT_TRUE(IsTypedSnapshotError(status))
-        << "len " << len << ": " << status.ToString();
-    // A failed load must not leave partial contents behind.
-    EXPECT_EQ(store.num_triples(), 0u) << "len " << len;
-    EXPECT_EQ(store.num_claims(), 0u) << "len " << len;
-  }
-  std::remove(path.c_str());
-  std::remove(mutant_path.c_str());
-}
-
-TEST(SnapshotFaultTest, EveryAppendedByteValueFailsTyped) {
-  std::string path = SaveSampleSnapshot("append.akbsnap");
-  std::string pristine = ReadFile(path);
-  std::string mutant_path = TempPath("append_mutant.akbsnap");
-
-  for (int extra = 0; extra < 256; ++extra) {
-    WriteFile(mutant_path, pristine + char(extra));
-    TripleStore store;
-    Status status = store.LoadSnapshot(mutant_path);
-    EXPECT_EQ(status.code(), StatusCode::kDataLoss) << "appended " << extra;
-  }
-  std::remove(path.c_str());
-  std::remove(mutant_path.c_str());
-}
-
-TEST(SnapshotFaultTest, ReadSnapshotInfoRejectsCorruptionToo) {
-  std::string path = SaveSampleSnapshot("info_fault.akbsnap");
-  std::string pristine = ReadFile(path);
-  std::string mutant_path = TempPath("info_mutant.akbsnap");
-  // Flip one byte in each quarter of the file (cheap spot check — the
-  // exhaustive sweep above already covers LoadSnapshot, which
-  // ReadSnapshotInfo shares).
-  for (size_t i = 0; i < 4; ++i) {
-    std::string mutant = pristine;
-    mutant[pristine.size() * i / 4] ^= 0x10;
-    WriteFile(mutant_path, mutant);
-    EXPECT_FALSE(ReadSnapshotInfo(mutant_path).ok()) << "quarter " << i;
-  }
-  std::remove(path.c_str());
-  std::remove(mutant_path.c_str());
-}
-
-// ------------------------------------------------------------------ v2
 
 uint64_t LoadU64At(const std::string& bytes, size_t offset) {
   uint64_t v;
@@ -188,15 +98,55 @@ void PatchByte(const std::string& path, size_t offset, char value) {
   f.put(value);
 }
 
+TEST(SnapshotFaultTest, EveryBitFlipFailsTypedOrLoadsFully) {
+  // Single-bit flips at every byte, cycling through all eight bit
+  // positions. The whole-file CRC detects every single-bit error, so no
+  // flip may load — not even "fully".
+  std::string path = SaveSampleSnapshot("flip.akbsnap");
+  std::string pristine = ReadFile(path);
+  ASSERT_FALSE(pristine.empty());
+  for (size_t i = 0; i < pristine.size(); ++i) {
+    const uint8_t bit = uint8_t(1u << (i % 8));
+    PatchByte(path, i, char(uint8_t(pristine[i]) ^ bit));
+    TripleStore store;
+    Status status = store.LoadSnapshot(path);
+    ASSERT_FALSE(status.ok()) << "flip of byte " << i << " loaded";
+    EXPECT_TRUE(IsTypedSnapshotError(status))
+        << "byte " << i << ": " << status.ToString();
+    EXPECT_EQ(store.num_triples(), 0u) << "byte " << i;
+    PatchByte(path, i, pristine[i]);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotFaultTest, EveryTruncationFailsTyped) {
+  // Every prefix length, longest first, so each step is one ftruncate
+  // instead of a rewrite of the page-aligned file.
+  std::string path = SaveSampleSnapshot("trunc.akbsnap");
+  const size_t size = ReadFile(path).size();
+  for (size_t len = size; len-- > 0;) {
+    std::filesystem::resize_file(path, len);
+    TripleStore store;
+    Status status = store.LoadSnapshot(path);
+    ASSERT_FALSE(status.ok()) << "truncated to " << len << " bytes";
+    EXPECT_TRUE(IsTypedSnapshotError(status))
+        << "len " << len << ": " << status.ToString();
+    // A failed load must not leave partial contents behind.
+    EXPECT_EQ(store.num_triples(), 0u) << "len " << len;
+    EXPECT_EQ(store.num_claims(), 0u) << "len " << len;
+  }
+  std::remove(path.c_str());
+}
+
 TEST(SnapshotV2FaultTest, EveryByteCorruptionFailsTyped) {
-  std::string path = SaveSampleSnapshotV2("v2_flip.akbsnap");
+  std::string path = SaveSampleSnapshot("v2_flip.akbsnap");
   std::string pristine = ReadFile(path);
   ASSERT_GT(pristine.size(), snapshot_v2::kHeaderBytes);
 
   // file_crc covers every byte up to the footer's end (padding included)
   // and each trailer field is checked against the file or covered by the
-  // trailer magic, so unlike v1 there is no "loads fully" escape hatch:
-  // every single-byte corruption must fail, and must fail typed.
+  // trailer magic, so there is no "loads fully" escape hatch: every
+  // single-byte corruption must fail, and must fail typed.
   for (size_t i = 0; i < pristine.size(); ++i) {
     PatchByte(path, i, char(uint8_t(pristine[i]) ^ 0xFF));
     TripleStore store;
@@ -223,7 +173,7 @@ TEST(SnapshotV2FaultTest, EveryByteCorruptionFailsTyped) {
 }
 
 TEST(SnapshotV2FaultTest, TruncationAtEveryBoundaryFailsTyped) {
-  std::string path = SaveSampleSnapshotV2("v2_trunc.akbsnap");
+  std::string path = SaveSampleSnapshot("v2_trunc.akbsnap");
   std::string pristine = ReadFile(path);
   std::string mutant_path = TempPath("v2_trunc_mutant.akbsnap");
 
@@ -264,7 +214,7 @@ TEST(SnapshotV2FaultTest, TruncationAtEveryBoundaryFailsTyped) {
 }
 
 TEST(SnapshotV2FaultTest, EveryAppendedByteValueFailsTyped) {
-  std::string path = SaveSampleSnapshotV2("v2_append.akbsnap");
+  std::string path = SaveSampleSnapshot("v2_append.akbsnap");
   std::string pristine = ReadFile(path);
   std::string mutant_path = TempPath("v2_append_mutant.akbsnap");
   for (int extra = 0; extra < 256; ++extra) {
@@ -292,24 +242,28 @@ TEST(SnapshotV2FaultTest, ZeroLengthAndTinyFilesFailTyped) {
 }
 
 TEST(SnapshotV2FaultTest, FormatMasqueradesFailTyped) {
-  // A v1 body wearing the v2 magic: routed to the v2 validator, which
-  // rejects it as damaged (far too small to hold a header page).
-  std::string v1_path = SaveSampleSnapshot("masq_v1.akbsnap");
-  std::string v1_bytes = ReadFile(v1_path);
+  // A foreign body wearing the v2 magic: routed to the validator, which
+  // rejects it as damaged.
   std::string mutant_path = TempPath("masq_mutant.akbsnap");
-  std::string mutant = v1_bytes;
-  std::memcpy(mutant.data(), snapshot_v2::kMagic, 8);
+  std::string mutant(snapshot_v2::kMagic, 8);
+  mutant += std::string(64 * 1024, '\0');
   WriteFile(mutant_path, mutant);
   TripleStore store;
   EXPECT_EQ(store.LoadSnapshot(mutant_path).code(), StatusCode::kDataLoss);
 
-  // A v2 body wearing the v1 magic: the v1 reader sees the header's
-  // version word (2) and reports it as a newer-than-me stream.
-  std::string v2_path = SaveSampleSnapshotV2("masq_v2.akbsnap");
+  // A v2 body wearing the retired v1 magic: named as a v1 file this build
+  // no longer reads, by both the loader and the zero-copy open.
+  std::string v2_path = SaveSampleSnapshot("masq_v2.akbsnap");
   mutant = ReadFile(v2_path);
   std::memcpy(mutant.data(), "AKBSNAP1", 8);
   WriteFile(mutant_path, mutant);
-  EXPECT_EQ(store.LoadSnapshot(mutant_path).code(),
+  Status retired = store.LoadSnapshot(mutant_path);
+  EXPECT_EQ(retired.code(), StatusCode::kUnimplemented);
+  EXPECT_NE(retired.message().find("no longer"), std::string::npos)
+      << retired.ToString();
+  EXPECT_NE(retired.message().find("pipeline --save-kb"), std::string::npos)
+      << retired.ToString();
+  EXPECT_EQ(OpenSnapshotV2(mutant_path).status().code(),
             StatusCode::kUnimplemented);
 
   // A v2 file claiming format version 3: forward-compat refusal, checked
@@ -322,13 +276,12 @@ TEST(SnapshotV2FaultTest, FormatMasqueradesFailTyped) {
   EXPECT_EQ(OpenSnapshotV2(mutant_path).status().code(),
             StatusCode::kUnimplemented);
 
-  std::remove(v1_path.c_str());
   std::remove(v2_path.c_str());
   std::remove(mutant_path.c_str());
 }
 
 TEST(SnapshotV2FaultTest, MisalignedSectionOffsetFailsStructurally) {
-  std::string path = SaveSampleSnapshotV2("v2_misalign.akbsnap");
+  std::string path = SaveSampleSnapshot("v2_misalign.akbsnap");
   std::string bytes = ReadFile(path);
   size_t trailer = bytes.size() - snapshot_v2::kTrailerBytes;
   uint64_t footer_offset = LoadU64At(bytes, trailer);
@@ -363,11 +316,11 @@ TEST(SnapshotV2FaultTest, MisalignedSectionOffsetFailsStructurally) {
 }
 
 TEST(SnapshotV2FaultTest, ReadSnapshotInfoRejectsCorruptionToo) {
-  std::string path = SaveSampleSnapshotV2("v2_info.akbsnap");
+  std::string path = SaveSampleSnapshot("v2_info.akbsnap");
   std::string pristine = ReadFile(path);
   auto info = ReadSnapshotInfo(path);
   ASSERT_TRUE(info.ok()) << info.status();
-  EXPECT_EQ(info->version, kSnapshotVersionV2);
+  EXPECT_EQ(info->version, kSnapshotVersion);
   EXPECT_EQ(info->triples, 3u);
   for (size_t i = 0; i < 4; ++i) {
     size_t at = pristine.size() * i / 4;

@@ -1,10 +1,18 @@
-// Round-trip and error-taxonomy tests for the binary snapshot format.
+// Round-trip, error-taxonomy, and crash-safe-publish tests for the binary
+// snapshot format.
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "rdf/ntriples.h"
 #include "rdf/snapshot.h"
@@ -58,7 +66,7 @@ TEST(SnapshotTest, EmptyStoreRoundTrips) {
   std::string path = TempPath("empty.akbsnap");
   TripleStore store;
   SnapshotStats saved;
-  ASSERT_TRUE(store.SaveSnapshot(path, &saved).ok());
+  ASSERT_TRUE(store.SaveSnapshot(path, SnapshotFormat::kV2, &saved).ok());
   EXPECT_EQ(saved.terms, 0u);
   EXPECT_EQ(saved.triples, 0u);
   EXPECT_EQ(saved.claims, 0u);
@@ -77,7 +85,7 @@ TEST(SnapshotTest, ClaimsAndProvenanceRoundTrip) {
   std::string path = TempPath("sample.akbsnap");
   TripleStore store = SampleStore();
   SnapshotStats saved;
-  ASSERT_TRUE(store.SaveSnapshot(path, &saved).ok());
+  ASSERT_TRUE(store.SaveSnapshot(path, SnapshotFormat::kV2, &saved).ok());
   EXPECT_EQ(saved.version, kSnapshotVersion);
   EXPECT_EQ(saved.claims, store.num_claims());
   EXPECT_EQ(saved.triples, store.num_triples());
@@ -145,6 +153,58 @@ TEST(SnapshotTest, FutureVersionIsUnimplemented) {
   std::remove(path.c_str());
 }
 
+/// Names in the directory of `path` that start with its file name plus
+/// ".tmp." — leftovers of an unfinished save.
+std::vector<std::string> TempSiblings(const std::string& path) {
+  std::filesystem::path p(path);
+  const std::string prefix = p.filename().string() + ".tmp.";
+  std::vector<std::string> found;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(p.parent_path())) {
+    std::string name = entry.path().filename().string();
+    if (name.compare(0, prefix.size(), prefix) == 0) found.push_back(name);
+  }
+  return found;
+}
+
+TEST(SnapshotTest, FailedSaveLeavesOldFileByteIdentical) {
+  // A save that dies mid-write (here: the file-size limit, with SIGXFSZ
+  // ignored so write(2) fails with EFBIG instead of killing the process)
+  // must report kIoError, keep the last good snapshot, and clean up.
+  std::string path = TempPath("crash_safe.akbsnap");
+  ASSERT_TRUE(SampleStore().SaveSnapshot(path).ok());
+  const std::string before = ReadFile(path);
+  ASSERT_GT(before.size(), 8192u);
+  EXPECT_TRUE(TempSiblings(path).empty()) << "a successful save left one";
+
+  // Every snapshot is at least a dozen 4 KiB pages, so any store
+  // overruns the limit below.
+  TripleStore other = SampleStore();
+  other.InsertDecoded(Term::Iri("http://e/new"), Term::Iri("http://p/x"),
+                      Term::Literal("fresh"), {});
+  pid_t child = fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    // Child: no gtest assertions; report through the exit code.
+    signal(SIGXFSZ, SIG_IGN);
+    struct rlimit limit = {8192, 8192};
+    if (setrlimit(RLIMIT_FSIZE, &limit) != 0) _exit(3);
+    Status saved = other.SaveSnapshot(path);
+    _exit(saved.code() == StatusCode::kIoError ? 0 : 1);
+  }
+  int wstatus = 0;
+  ASSERT_EQ(waitpid(child, &wstatus, 0), child);
+  ASSERT_TRUE(WIFEXITED(wstatus)) << "child died with a signal";
+  EXPECT_EQ(WEXITSTATUS(wstatus), 0) << "save did not fail with kIoError";
+
+  EXPECT_EQ(ReadFile(path), before);
+  EXPECT_TRUE(TempSiblings(path).empty());
+  TripleStore store;
+  ASSERT_TRUE(store.LoadSnapshot(path).ok());
+  EXPECT_EQ(Fingerprint(store), Fingerprint(SampleStore()));
+  std::remove(path.c_str());
+}
+
 TEST(SnapshotTest, FailedLoadLeavesStoreUntouched) {
   std::string path = TempPath("damaged.akbsnap");
   ASSERT_TRUE(SampleStore().SaveSnapshot(path).ok());
@@ -174,7 +234,7 @@ TEST(SnapshotTest, ReadSnapshotInfoMatchesSaveStats) {
   std::string path = TempPath("info.akbsnap");
   TripleStore store = SampleStore();
   SnapshotStats saved;
-  ASSERT_TRUE(store.SaveSnapshot(path, &saved).ok());
+  ASSERT_TRUE(store.SaveSnapshot(path, SnapshotFormat::kV2, &saved).ok());
   auto info = ReadSnapshotInfo(path);
   ASSERT_TRUE(info.ok());
   EXPECT_EQ(info->version, saved.version);
@@ -186,7 +246,7 @@ TEST(SnapshotTest, ReadSnapshotInfoMatchesSaveStats) {
 }
 
 TEST(SnapshotTest, LargeStoreSpansMultipleBlocks) {
-  // > 64 KiB of term bytes forces several blocks per section.
+  // ~150 KiB of term bytes: sections span many 4 KiB pages.
   std::string path = TempPath("large.akbsnap");
   TripleStore store;
   for (int i = 0; i < 2000; ++i) {

@@ -139,6 +139,47 @@ TEST_F(KbViewTest, FromSnapshotRoundTrips) {
   std::remove(path.c_str());
 }
 
+TEST_F(KbViewTest, ResaveUnderMappedViewKeepsServingOldBytes) {
+  // The save publishes by rename, so a live mapping keeps the old inode:
+  // re-saving a different KB to the same path must not disturb answers
+  // already being served, and a fresh open must see the new KB.
+  std::string path = TempPath("kb_view_resave.akbsnap");
+  ASSERT_TRUE(store_.SaveSnapshot(path).ok());
+  auto old_view = KbView::FromSnapshot(path);
+  ASSERT_TRUE(old_view.ok()) << old_view.status().ToString();
+  std::vector<TriplePattern> shapes = {
+      {s1_, p1_, o1_}, {s1_, p1_, 0}, {s1_, 0, o1_}, {0, p1_, o1_},
+      {s1_, 0, 0},     {0, p1_, 0},   {0, 0, o1_},   {0, 0, 0},
+  };
+  std::vector<std::vector<size_t>> before_matches;
+  for (const TriplePattern& pattern : shapes) {
+    before_matches.push_back(old_view->Match(pattern));
+  }
+  std::vector<std::string> before_decoded;
+  for (size_t i = 0; i < old_view->num_triples(); ++i) {
+    before_decoded.push_back(old_view->DecodeToString(i));
+  }
+
+  rdf::TripleStore other;
+  other.InsertDecoded(rdf::Term::Iri("http://e/x"), rdf::Term::Iri("http://p/y"),
+                      rdf::Term::Literal("z"), Prov("e"));
+  ASSERT_TRUE(other.SaveSnapshot(path).ok());
+
+  for (size_t k = 0; k < shapes.size(); ++k) {
+    EXPECT_EQ(old_view->Match(shapes[k]), before_matches[k]) << "shape " << k;
+  }
+  ASSERT_EQ(old_view->num_triples(), before_decoded.size());
+  for (size_t i = 0; i < before_decoded.size(); ++i) {
+    EXPECT_EQ(old_view->DecodeToString(i), before_decoded[i]) << i;
+  }
+
+  auto new_view = KbView::FromSnapshot(path);
+  ASSERT_TRUE(new_view.ok()) << new_view.status().ToString();
+  ASSERT_EQ(new_view->num_triples(), 1u);
+  EXPECT_EQ(new_view->DecodeToString(0), other.DecodeToString(0));
+  std::remove(path.c_str());
+}
+
 TEST_F(KbViewTest, FromSnapshotRejectsGarbage) {
   std::string path = TempPath("kb_view_garbage.akbsnap");
   {

@@ -270,7 +270,7 @@ TEST(ServeStressTest, ManyEnginesShareOneView) {
 TEST(MmapStressTest, ReadersHammerMappedViewWhileViewsChurn) {
   rdf::TripleStore store = BuildStore(3000, 97);
   std::string path = ::testing::TempDir() + "/mmap_stress.akbsnap";
-  ASSERT_TRUE(store.SaveSnapshot(path, rdf::SnapshotFormat::kV2).ok());
+  ASSERT_TRUE(store.SaveSnapshot(path).ok());
   const int64_t baseline = rdf::MmapFile::active_mappings();
   {
     auto shared = KbView::FromSnapshot(path);
@@ -342,7 +342,7 @@ TEST(MmapStressTest, ReadersHammerMappedViewWhileViewsChurn) {
 TEST(MmapStressTest, DestroyingEngineAndViewUnmapsCleanly) {
   rdf::TripleStore store = BuildStore(800, 29);
   std::string path = ::testing::TempDir() + "/mmap_unmap.akbsnap";
-  ASSERT_TRUE(store.SaveSnapshot(path, rdf::SnapshotFormat::kV2).ok());
+  ASSERT_TRUE(store.SaveSnapshot(path).ok());
   const int64_t baseline = rdf::MmapFile::active_mappings();
   {
     auto view = KbView::FromSnapshot(path);

@@ -1,11 +1,11 @@
-// Snapshot differential suite — the proof that the zero-copy v2 format
-// serves exactly what the parse-and-rebuild v1 path serves: over hundreds
-// of random stores, views opened from a v1 snapshot, a v2 snapshot, and
-// the in-memory store itself must agree with the TripleStore::Match
-// oracle on every one of the 8 triple-pattern shapes and on BGP joins;
-// v2 bytes must be a pure function of the store (deterministic, and
-// canonical across save -> load -> save); and v2 round-trips the claims
-// so pipeline warm-starts lose nothing.
+// Snapshot differential suite — the proof that a view mapped zero-copy
+// from a snapshot serves exactly what the in-memory store serves: over
+// hundreds of random stores, the mapped view and a view built from the
+// store itself must agree with the TripleStore::Match oracle on every one
+// of the 8 triple-pattern shapes and on BGP joins; snapshot bytes must be
+// a pure function of the store (deterministic, and canonical across
+// save -> load -> save); and the snapshot round-trips the claims so
+// pipeline warm-starts lose nothing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -66,30 +66,23 @@ std::vector<std::vector<TermId>> SortedRows(const BgpRows& rows) {
   return out;
 }
 
-TEST(SnapshotDifferentialTest, V1AndV2ViewsEqualStoreOracle) {
+TEST(SnapshotDifferentialTest, MappedViewEqualsStoreOracle) {
   constexpr uint64_t kSeeds = 200;
-  std::string v1_path = TempPath("diff_v1.akbsnap");
-  std::string v2_path = TempPath("diff_v2.akbsnap");
+  std::string path = TempPath("diff.akbsnap");
   for (uint64_t seed = 0; seed < kSeeds; ++seed) {
     rdf::TripleStore store = RandomStore(seed);
-    ASSERT_TRUE(store.SaveSnapshot(v1_path, rdf::SnapshotFormat::kV1).ok())
-        << "seed " << seed;
-    ASSERT_TRUE(store.SaveSnapshot(v2_path, rdf::SnapshotFormat::kV2).ok())
-        << "seed " << seed;
+    ASSERT_TRUE(store.SaveSnapshot(path).ok()) << "seed " << seed;
 
-    auto v1 = KbView::FromSnapshot(v1_path);
-    ASSERT_TRUE(v1.ok()) << "seed " << seed << ": " << v1.status();
-    auto v2 = KbView::FromSnapshot(v2_path);
-    ASSERT_TRUE(v2.ok()) << "seed " << seed << ": " << v2.status();
+    auto mapped = KbView::FromSnapshot(path);
+    ASSERT_TRUE(mapped.ok()) << "seed " << seed << ": " << mapped.status();
     KbView direct(store);
 
-    EXPECT_FALSE(v1->mapped()) << "seed " << seed;
-    EXPECT_TRUE(v2->mapped()) << "seed " << seed;
-    EXPECT_EQ(v1->provenance().snapshot_version, rdf::kSnapshotVersion);
-    EXPECT_EQ(v2->provenance().snapshot_version, rdf::kSnapshotVersionV2);
-    ASSERT_EQ(v1->num_triples(), store.num_triples()) << "seed " << seed;
-    ASSERT_EQ(v2->num_triples(), store.num_triples()) << "seed " << seed;
-    ASSERT_EQ(v2->num_terms(), store.dictionary().size()) << "seed " << seed;
+    EXPECT_TRUE(mapped->mapped()) << "seed " << seed;
+    EXPECT_FALSE(direct.mapped()) << "seed " << seed;
+    EXPECT_EQ(mapped->provenance().snapshot_version, rdf::kSnapshotVersion);
+    ASSERT_EQ(mapped->num_triples(), store.num_triples()) << "seed " << seed;
+    ASSERT_EQ(mapped->num_terms(), store.dictionary().size())
+        << "seed " << seed;
 
     Rng rng(seed * 977 + 1);
     std::vector<TriplePattern> patterns;
@@ -110,50 +103,42 @@ TEST(SnapshotDifferentialTest, V1AndV2ViewsEqualStoreOracle) {
 
     for (const TriplePattern& pattern : patterns) {
       auto expected = store.Match(pattern);
-      EXPECT_EQ(Sorted(v1->Match(pattern)), expected)
-          << "seed " << seed << " v1 pattern (" << pattern.subject << " "
+      EXPECT_EQ(Sorted(mapped->Match(pattern)), expected)
+          << "seed " << seed << " pattern (" << pattern.subject << " "
           << pattern.predicate << " " << pattern.object << ")";
-      EXPECT_EQ(Sorted(v2->Match(pattern)), expected)
-          << "seed " << seed << " v2 pattern (" << pattern.subject << " "
-          << pattern.predicate << " " << pattern.object << ")";
-      EXPECT_EQ(v2->Count(pattern), expected.size()) << "seed " << seed;
+      EXPECT_EQ(Sorted(direct.Match(pattern)), expected) << "seed " << seed;
+      EXPECT_EQ(mapped->Count(pattern), expected.size()) << "seed " << seed;
       // The borrowed view's permutation order must equal the rebuilt
       // view's: BuildPermIndex is the single sort both sides share, so
-      // even result ORDER (not just the set) is format-independent.
-      EXPECT_EQ(v2->Match(pattern), direct.Match(pattern))
-          << "seed " << seed;
-      EXPECT_EQ(v1->Match(pattern), direct.Match(pattern))
+      // even result ORDER (not just the set) is backing-independent.
+      EXPECT_EQ(mapped->Match(pattern), direct.Match(pattern))
           << "seed " << seed;
     }
   }
-  std::remove(v1_path.c_str());
-  std::remove(v2_path.c_str());
+  std::remove(path.c_str());
 }
 
-TEST(SnapshotDifferentialTest, BgpJoinsAgreeAcrossFormats) {
+TEST(SnapshotDifferentialTest, BgpJoinsAgreeMappedAndBuilt) {
   constexpr uint64_t kSeeds = 60;
-  std::string v1_path = TempPath("diff_bgp_v1.akbsnap");
-  std::string v2_path = TempPath("diff_bgp_v2.akbsnap");
+  std::string path = TempPath("diff_bgp.akbsnap");
   BgpOptions options;
   options.limit = 2000;
   size_t compared = 0;
   for (uint64_t seed = 0; seed < kSeeds; ++seed) {
     rdf::TripleStore store = RandomStore(seed + 31000);
     if (store.num_triples() == 0) continue;
-    ASSERT_TRUE(store.SaveSnapshot(v1_path, rdf::SnapshotFormat::kV1).ok());
-    ASSERT_TRUE(store.SaveSnapshot(v2_path, rdf::SnapshotFormat::kV2).ok());
-    auto v1 = KbView::FromSnapshot(v1_path);
-    ASSERT_TRUE(v1.ok()) << "seed " << seed << ": " << v1.status();
-    auto v2 = KbView::FromSnapshot(v2_path);
-    ASSERT_TRUE(v2.ok()) << "seed " << seed << ": " << v2.status();
+    ASSERT_TRUE(store.SaveSnapshot(path).ok());
+    auto mapped = KbView::FromSnapshot(path);
+    ASSERT_TRUE(mapped.ok()) << "seed " << seed << ": " << mapped.status();
+    KbView built(store);
 
     synth::BgpWorkloadConfig workload_config;
     workload_config.num_queries = 20;
     workload_config.seed = seed;
     auto queries = synth::GenerateBgpWorkload(store, workload_config);
     for (size_t i = 0; i < queries.size(); ++i) {
-      auto a = ExecuteBgp(*v1, queries[i], options);
-      auto b = ExecuteBgp(*v2, queries[i], options);
+      auto a = ExecuteBgp(built, queries[i], options);
+      auto b = ExecuteBgp(*mapped, queries[i], options);
       ASSERT_EQ(a.ok(), b.ok()) << "seed " << seed << " q " << i;
       if (!a.ok()) {
         EXPECT_EQ(a.status().code(), b.status().code())
@@ -167,8 +152,7 @@ TEST(SnapshotDifferentialTest, BgpJoinsAgreeAcrossFormats) {
     }
   }
   EXPECT_GT(compared, 300u);
-  std::remove(v1_path.c_str());
-  std::remove(v2_path.c_str());
+  std::remove(path.c_str());
 }
 
 TEST(SnapshotDifferentialTest, V2BytesAreDeterministicAndCanonical) {
@@ -177,20 +161,19 @@ TEST(SnapshotDifferentialTest, V2BytesAreDeterministicAndCanonical) {
   std::string path_b = TempPath("det_b.akbsnap");
   for (uint64_t seed = 0; seed < kSeeds; ++seed) {
     rdf::TripleStore store = RandomStore(seed + 52000);
-    ASSERT_TRUE(store.SaveSnapshot(path_a, rdf::SnapshotFormat::kV2).ok());
-    ASSERT_TRUE(store.SaveSnapshot(path_b, rdf::SnapshotFormat::kV2).ok());
+    ASSERT_TRUE(store.SaveSnapshot(path_a).ok());
+    ASSERT_TRUE(store.SaveSnapshot(path_b).ok());
     std::string bytes_a = ReadFileBytes(path_a);
     ASSERT_FALSE(bytes_a.empty());
     // Same store, two saves: bit-identical.
     ASSERT_EQ(bytes_a, ReadFileBytes(path_b)) << "seed " << seed;
 
     // Save -> load -> save is canonical: the reloaded store writes the
-    // very same bytes, so v2 is a fixed point (and v1 -> v2 -> v1
-    // conversion round-trips through it losslessly).
+    // very same bytes, so the format is a fixed point.
     rdf::TripleStore reloaded;
     ASSERT_TRUE(reloaded.LoadSnapshot(path_a).ok()) << "seed " << seed;
     EXPECT_EQ(reloaded.num_claims(), store.num_claims()) << "seed " << seed;
-    ASSERT_TRUE(reloaded.SaveSnapshot(path_b, rdf::SnapshotFormat::kV2).ok());
+    ASSERT_TRUE(reloaded.SaveSnapshot(path_b).ok());
     EXPECT_EQ(bytes_a, ReadFileBytes(path_b)) << "seed " << seed;
   }
   std::remove(path_a.c_str());
@@ -199,10 +182,10 @@ TEST(SnapshotDifferentialTest, V2BytesAreDeterministicAndCanonical) {
 
 TEST(SnapshotDifferentialTest, MappedViewTermApiMatchesDictionary) {
   constexpr uint64_t kSeeds = 25;
-  std::string path = TempPath("terms_v2.akbsnap");
+  std::string path = TempPath("terms.akbsnap");
   for (uint64_t seed = 0; seed < kSeeds; ++seed) {
     rdf::TripleStore store = RandomStore(seed + 64000);
-    ASSERT_TRUE(store.SaveSnapshot(path, rdf::SnapshotFormat::kV2).ok());
+    ASSERT_TRUE(store.SaveSnapshot(path).ok());
     auto view = KbView::FromSnapshot(path);
     ASSERT_TRUE(view.ok()) << "seed " << seed << ": " << view.status();
 

@@ -1,5 +1,8 @@
 #include "text/pattern.h"
 
+#include <ostream>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "text/tokenize.h"
@@ -162,6 +165,17 @@ struct QueryCase {
   const char* query;
   const char* expect_a;
 };
+
+// Prints a case as its expected attribute. gtest would otherwise print the
+// struct's raw pointer bytes, which change from one run to the next and so
+// give the case an unstable name in ctest.
+void PrintTo(const QueryCase& qc, std::ostream* os) {
+  std::string name = qc.expect_a;
+  for (char& c : name) {
+    if (c == ' ') c = '_';
+  }
+  *os << name;
+}
 
 class PaperPatternTest : public ::testing::TestWithParam<QueryCase> {};
 

@@ -28,8 +28,6 @@
 //           [--queue-depth=N] [--seed=N] [--bench-out=b.json]
 //   akb_cli inspect <file.nt>
 //   akb_cli snapshot-info <kb.akbsnap>
-//   akb_cli convert-snapshot <in.akbsnap> <out.akbsnap>
-//           [--snapshot-format=v1|v2]
 //   akb_cli bench-merge [--out=BENCH_pipeline.json] <bench1.json> ...
 #include <algorithm>
 #include <atomic>
@@ -81,15 +79,6 @@ synth::World BuildWorld(const FlagSet& flags) {
   return synth::World::Build(config);
 }
 
-std::optional<rdf::SnapshotFormat> ParseSnapshotFormat(
-    const std::string& name) {
-  if (name == "v1") return rdf::SnapshotFormat::kV1;
-  if (name == "v2") return rdf::SnapshotFormat::kV2;
-  std::fprintf(stderr, "error: --snapshot-format must be v1 or v2 (got %s)\n",
-               name.c_str());
-  return std::nullopt;
-}
-
 core::FusionMethod ParseFusion(const std::string& name) {
   if (name == "vote") return core::FusionMethod::kVote;
   if (name == "accu") return core::FusionMethod::kAccu;
@@ -113,9 +102,6 @@ int RunPipelineCommand(const FlagSet& flags) {
   config.fusion = ParseFusion(flags.GetString("fusion", "accu_conf_copy"));
   config.save_kb_path = flags.GetString("save-kb");
   config.load_kb_path = flags.GetString("load-kb");
-  auto format = ParseSnapshotFormat(flags.GetString("snapshot-format", "v1"));
-  if (!format.has_value()) return 2;
-  config.snapshot_format = *format;
 
   std::string trace_out = flags.GetString("trace-out");
   if (!trace_out.empty()) obs::TraceSession::Global().Start();
@@ -271,9 +257,11 @@ rdf::TripleStore BuildSyntheticKb(size_t claims, uint64_t seed) {
   return store;
 }
 
-// Loads --load-kb (view via FromSnapshot so statusz sees the snapshot
-// provenance) or synthesizes --triples=N claims. The store comes back too
-// for workload generation. Returns false after printing the error.
+// Maps --load-kb as a view (so statusz sees the snapshot provenance) or
+// synthesizes --triples=N claims. Commands that generate their workload
+// from the KB pass `store` and get the claims too; serve-net passes null
+// and never builds a TripleStore from a snapshot. Returns false after
+// printing the error.
 bool BuildServeKb(const FlagSet& flags, uint64_t seed,
                   size_t default_triples, rdf::TripleStore* store,
                   std::optional<serve::KbView>* view, double* build_ms,
@@ -281,30 +269,26 @@ bool BuildServeKb(const FlagSet& flags, uint64_t seed,
   std::string load = flags.GetString("load-kb");
   Stopwatch build_watch;
   if (!load.empty()) {
-    Status status = store->LoadSnapshot(load);
+    auto view_or = serve::KbView::FromSnapshot(load);
+    Status status = view_or.status();
+    if (status.ok() && store != nullptr) status = store->LoadSnapshot(load);
     if (!status.ok()) {
       std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
       return false;
     }
-    auto view_or = serve::KbView::FromSnapshot(load);
-    if (!view_or.ok()) {
-      std::fprintf(stderr, "error: %s\n",
-                   view_or.status().ToString().c_str());
-      return false;
-    }
     view->emplace(std::move(*view_or));
-    std::fprintf(info, "Loaded %s: %zu distinct triples, %zu terms\n",
-                 load.c_str(), store->num_triples(),
-                 store->dictionary().size());
   } else {
-    size_t claims = size_t(flags.GetInt("triples", int64_t(default_triples)));
-    *store = BuildSyntheticKb(claims, seed);
-    view->emplace(*store);
-    std::fprintf(info, "Synthesized KB: %zu distinct triples, %zu terms\n",
-                 store->num_triples(), store->dictionary().size());
+    rdf::TripleStore synthesized = BuildSyntheticKb(
+        size_t(flags.GetInt("triples", int64_t(default_triples))), seed);
+    view->emplace(synthesized);
+    if (store != nullptr) *store = std::move(synthesized);
   }
   *build_ms = build_watch.ElapsedMillis();
-  if (store->num_triples() == 0) {
+  std::fprintf(info, "%s %s: %zu distinct triples, %zu terms\n",
+               load.empty() ? "Synthesized" : "Loaded",
+               load.empty() ? "KB" : load.c_str(), (*view)->num_triples(),
+               (*view)->num_terms());
+  if ((*view)->num_triples() == 0) {
     std::fprintf(stderr, "error: KB is empty, nothing to serve\n");
     return false;
   }
@@ -654,10 +638,9 @@ serve::QueryEngineConfig BuildNetEngineConfig(const FlagSet& flags) {
 // closed, and the exit code is 0 so CI can assert a clean stop.
 int RunServeNetCommand(const FlagSet& flags) {
   uint64_t seed = uint64_t(flags.GetInt("seed", 19));
-  rdf::TripleStore store;
   std::optional<serve::KbView> view_holder;
   double build_ms = 0.0;
-  if (!BuildServeKb(flags, seed, 100000, &store, &view_holder, &build_ms)) {
+  if (!BuildServeKb(flags, seed, 100000, nullptr, &view_holder, &build_ms)) {
     return 1;
   }
   serve::QueryEngine engine(*view_holder, BuildNetEngineConfig(flags));
@@ -1001,63 +984,12 @@ int RunSnapshotInfoCommand(const FlagSet& flags) {
       (unsigned long long)info->terms, (unsigned long long)info->triples,
       (unsigned long long)info->claims);
   std::printf(
-      "  sections: dict=%llu triples=%llu index=%llu claims=%llu bytes%s\n",
+      "  sections: dict=%llu triples=%llu index=%llu claims=%llu bytes "
+      "(zero-copy: mmap + validate, no parse)\n",
       (unsigned long long)info->dict_bytes,
       (unsigned long long)info->triples_bytes,
       (unsigned long long)info->index_bytes,
-      (unsigned long long)info->claims_bytes,
-      info->version >= rdf::kSnapshotVersionV2
-          ? " (zero-copy: mmap + validate, no parse)"
-          : "");
-  return 0;
-}
-
-int RunConvertSnapshotCommand(const FlagSet& flags) {
-  if (flags.positional().size() < 3) {
-    std::fprintf(stderr,
-                 "usage: akb_cli convert-snapshot <in.akbsnap> <out.akbsnap> "
-                 "[--snapshot-format=v1|v2]\n");
-    return 2;
-  }
-  const std::string& in_path = flags.positional()[1];
-  const std::string& out_path = flags.positional()[2];
-
-  auto in_format = rdf::ProbeSnapshotFormat(in_path);
-  if (!in_format.ok()) {
-    std::fprintf(stderr, "error: %s\n",
-                 in_format.status().ToString().c_str());
-    return 1;
-  }
-  // Default: convert to the other format; --snapshot-format overrides
-  // (also useful for format-preserving rewrites).
-  rdf::SnapshotFormat out_format = *in_format == rdf::SnapshotFormat::kV1
-                                       ? rdf::SnapshotFormat::kV2
-                                       : rdf::SnapshotFormat::kV1;
-  std::string requested = flags.GetString("snapshot-format");
-  if (!requested.empty()) {
-    auto parsed = ParseSnapshotFormat(requested);
-    if (!parsed.has_value()) return 2;
-    out_format = *parsed;
-  }
-
-  rdf::TripleStore store;
-  Status status = store.LoadSnapshot(in_path);
-  if (!status.ok()) {
-    std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-    return 1;
-  }
-  rdf::SnapshotStats stats;
-  status = store.SaveSnapshot(out_path, out_format, &stats);
-  if (!status.ok()) {
-    std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-    return 1;
-  }
-  std::printf(
-      "%s (v%u) -> %s (v%u): %llu bytes, %llu terms, %llu triples, "
-      "%llu claims\n",
-      in_path.c_str(), uint32_t(*in_format), out_path.c_str(), stats.version,
-      (unsigned long long)stats.bytes, (unsigned long long)stats.terms,
-      (unsigned long long)stats.triples, (unsigned long long)stats.claims);
+      (unsigned long long)info->claims_bytes);
   return 0;
 }
 
@@ -1094,8 +1026,6 @@ void PrintUsage() {
       "  statusz       live introspection report for the serve path\n"
       "  inspect FILE  summarize an N-Triples file\n"
       "  snapshot-info FILE  summarize a binary KB snapshot\n"
-      "  convert-snapshot IN OUT  rewrite a snapshot in the other format\n"
-      "                (or the one named by --snapshot-format=v1|v2)\n"
       "  bench-merge   merge per-bench JSON results into one file\n\n"
       "common flags: --world=small|paper --seed=N\n"
       "pipeline:     --classes=A,B --sites=N --pages=N --articles=N\n"
@@ -1106,9 +1036,8 @@ void PrintUsage() {
       "              --save-kb=FILE (checkpoint the claims KB after\n"
       "              assembly) --load-kb=FILE (warm-start fusion from a\n"
       "              checkpoint; fused output is byte-identical to the\n"
-      "              cold run that saved it) --snapshot-format=v1|v2\n"
-      "              (v2 = page-aligned zero-copy serve image, mmap'd\n"
-      "              by the serve path without parsing; default v1)\n"
+      "              cold run that saved it; snapshots are the zero-copy\n"
+      "              serve image, replaced atomically on re-save)\n"
       "extract-dom:  --class=NAME --sites=N --pages=N --seeds=N\n"
       "serve-bench:  --load-kb=FILE (snapshot to serve; else --triples=N\n"
       "              synthesizes a KB) --queries=N --workers=N --batch=N\n"
@@ -1153,7 +1082,6 @@ int main(int argc, char** argv) {
   if (command == "statusz") return RunStatuszCommand(flags);
   if (command == "inspect") return RunInspectCommand(flags);
   if (command == "snapshot-info") return RunSnapshotInfoCommand(flags);
-  if (command == "convert-snapshot") return RunConvertSnapshotCommand(flags);
   if (command == "bench-merge") return RunBenchMergeCommand(flags);
   PrintUsage();
   return 2;
