@@ -117,6 +117,48 @@ size_t EditDistance(std::string_view a, std::string_view b) {
   return prev[a.size()];
 }
 
+size_t EditDistanceWithin(std::string_view a, std::string_view b,
+                          size_t max_edits) {
+  if (a.size() > b.size()) std::swap(a, b);
+  const size_t n = a.size(), m = b.size();
+  if (m - n > max_edits) return max_edits + 1;
+  // The distance never exceeds m, so a larger budget changes nothing; the
+  // clamp also keeps `k + 1` from overflowing.
+  const size_t k = std::min(max_edits, m);
+  const size_t inf = k + 1;
+  // A path of cost <= k never leaves the band |i - j| <= k, so cells
+  // outside it read as inf and every value saturates at inf.
+  thread_local std::vector<size_t> rows;
+  if (rows.size() < 2 * (n + 1)) rows.resize(2 * (n + 1));
+  size_t* prev = rows.data();
+  size_t* cur = prev + (n + 1);
+  size_t hi = std::min(n, k);
+  for (size_t i = 0; i <= hi; ++i) prev[i] = i;
+  if (hi < n) prev[hi + 1] = inf;
+  for (size_t j = 1; j <= m; ++j) {
+    size_t lo = j > k ? j - k : 0;
+    hi = std::min(n, j + k);
+    size_t row_min = inf;
+    if (lo == 0) {
+      cur[0] = std::min(j, inf);
+      row_min = cur[0];
+      lo = 1;
+    } else {
+      cur[lo - 1] = inf;
+    }
+    for (size_t i = lo; i <= hi; ++i) {
+      size_t sub = prev[i - 1] + (a[i - 1] == b[j - 1] ? 0 : 1);
+      size_t v = std::min({prev[i] + 1, cur[i - 1] + 1, sub, inf});
+      cur[i] = v;
+      row_min = std::min(row_min, v);
+    }
+    if (row_min >= inf) return max_edits + 1;
+    if (hi < n) cur[hi + 1] = inf;
+    std::swap(prev, cur);
+  }
+  return prev[n] > k ? max_edits + 1 : prev[n];
+}
+
 double EditSimilarity(std::string_view a, std::string_view b) {
   size_t m = std::max(a.size(), b.size());
   if (m == 0) return 1.0;

@@ -38,6 +38,14 @@ bool IsDigits(std::string_view s);
 /// Levenshtein edit distance (unit costs).
 size_t EditDistance(std::string_view a, std::string_view b);
 
+/// Bounded Levenshtein distance: the exact distance when it is at most
+/// `max_edits`, otherwise `max_edits + 1`. Only the diagonal band of width
+/// 2*max_edits+1 is filled, the scan stops once a whole row exceeds the
+/// bound, and the rows live in a per-thread buffer (no allocation per call
+/// once it has grown). Equals min(EditDistance(a, b), max_edits + 1).
+size_t EditDistanceWithin(std::string_view a, std::string_view b,
+                          size_t max_edits);
+
 /// Edit-distance similarity in [0,1]: 1 - dist/max(len); 1.0 for two empties.
 double EditSimilarity(std::string_view a, std::string_view b);
 

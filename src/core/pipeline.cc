@@ -252,6 +252,10 @@ std::string PipelineReport::ToString() const {
   return out;
 }
 
+std::string StageMetricLabel(std::string_view stage_name) {
+  return ReplaceAll(NormalizeSurface(stage_name), " ", "_");
+}
+
 PipelineReport RunPipeline(const synth::World& world,
                            const PipelineConfig& config,
                            rdf::TripleStore* augmented) {
@@ -284,11 +288,14 @@ PipelineReport RunPipeline(const synth::World& world,
   size_t chunks = std::max<size_t>(1, workers * 4);
   AKB_GAUGE_SET("akb.pipeline.workers", int64_t(workers));
 
+  // One latency histogram per stage, named by the stage's slug
+  // ("DOM-tree extraction" -> akb.pipeline.stage_micros.dom_tree_extraction).
+  static obs::HistogramFamily stage_micros("akb.pipeline.stage_micros.");
   auto stage = [&](const std::string& name, auto&& fn) {
     obs::ScopedSpan span("pipeline." + name);
     Stopwatch watch;
     size_t outputs = fn();
-    AKB_HISTOGRAM_RECORD("akb.pipeline.stage_micros", watch.ElapsedMicros());
+    stage_micros.Record(StageMetricLabel(name), watch.ElapsedMicros());
     report.stages.push_back(StageStats{name, watch.ElapsedSeconds(), outputs});
   };
   auto finalize = [&] {

@@ -11,6 +11,7 @@
 #define AKB_CORE_PIPELINE_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -158,6 +159,12 @@ struct PipelineReport {
   /// stats section from `metrics`).
   std::string ToString() const;
 };
+
+/// The label of a stage's latency histogram,
+/// `akb.pipeline.stage_micros.<label>`: the stage name lowercased with each
+/// run of other characters as one underscore ("DOM-tree extraction" ->
+/// "dom_tree_extraction").
+std::string StageMetricLabel(std::string_view stage_name);
 
 /// Runs the full pipeline over (freshly rendered inputs of) `world`.
 /// `augmented` (optional) receives the fused triples as an RDF store — the

@@ -8,10 +8,16 @@
 //   1. identifier normalization (camelCase / snake_case / hyphens -> words),
 //   2. a stopword-free sorted-token key (maps "place of birth" and
 //      "birth place" to the same key),
-//   3. fuzzy fallback: small edit distance to an existing key.
+//   3. fuzzy fallback: small edit distance to an existing key. Candidates
+//      are grouped by key length, and two lower bounds on edit distance
+//      (character-class mask, character-count signature) reject almost all
+//      of them before a bounded edit-distance DP runs; the result is the
+//      same as a full scan of every cluster.
 #ifndef AKB_EXTRACT_ATTRIBUTE_DEDUP_H_
 #define AKB_EXTRACT_ATTRIBUTE_DEDUP_H_
 
+#include <array>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -62,8 +68,23 @@ class AttributeDeduper {
   }
 
  private:
+  /// Lower bounds on the edit distance between two keys, from bytes
+  /// folded into 64 classes (distinct for lowercase letters, digits and
+  /// space). A class present in one key and absent from the other costs at
+  /// least one edit, and so does each unit of per-class count surplus (the
+  /// bag distance).
+  struct Signature {
+    uint64_t mask = 0;
+    std::array<uint8_t, 64> counts{};  // saturating
+
+    static Signature Of(std::string_view key);
+    size_t MaskBound(const Signature& other) const;
+    size_t BagBound(const Signature& other) const;
+  };
+
   struct Cluster {
     std::string key;
+    Signature signature;
     size_t support = 0;
     // surface -> count, to elect the representative.
     std::unordered_map<std::string, size_t> surfaces;
@@ -76,6 +97,8 @@ class AttributeDeduper {
   Options options_;
   std::vector<Cluster> clusters_;
   std::unordered_map<std::string, size_t> by_key_;
+  // by_length_[n]: ids of the clusters whose key has n bytes, ascending.
+  std::vector<std::vector<size_t>> by_length_;
 };
 
 }  // namespace akb::extract

@@ -189,10 +189,12 @@ DomExtraction DomTreeExtractor::ExtractSites(
               break;
             }
             std::string text(Trim(node->text()));
-            if (dedup.Find(text) != SIZE_MAX) continue;  // already known
+            // The cheap label check first: value strings (digits, long
+            // phrases) never reach the fuzzy lookup.
             if (!LabelTextAcceptable(text, config_.max_label_tokens)) {
               continue;
             }
+            if (dedup.Find(text) != SIZE_MAX) continue;  // already known
             size_t cluster = dedup.Add(text);
             ++out.stats.nodes_matched;
             grew = true;

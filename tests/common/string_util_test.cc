@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+
+#include "common/random.h"
+
 namespace akb {
 namespace {
 
@@ -71,6 +77,47 @@ TEST(EditDistanceTest, KnownValues) {
 
 TEST(EditDistanceTest, Symmetric) {
   EXPECT_EQ(EditDistance("abcdef", "azced"), EditDistance("azced", "abcdef"));
+}
+
+TEST(EditDistanceWithinTest, KnownValues) {
+  EXPECT_EQ(EditDistanceWithin("kitten", "sitting", 3), 3u);
+  EXPECT_EQ(EditDistanceWithin("kitten", "sitting", 2), 3u);
+  EXPECT_EQ(EditDistanceWithin("kitten", "sitting", 0), 1u);
+  EXPECT_EQ(EditDistanceWithin("", "", 0), 0u);
+  EXPECT_EQ(EditDistanceWithin("abc", "", 5), 3u);
+  EXPECT_EQ(EditDistanceWithin("", "abc", 1), 2u);
+  EXPECT_EQ(EditDistanceWithin("total budget", "total budgte", 2), 2u);
+  EXPECT_EQ(EditDistanceWithin("abc", "xyz", SIZE_MAX), 3u);
+}
+
+// Property: on random strings of mixed lengths (empty included) and every
+// budget up to the longer length, the bounded distance is the exact one
+// capped at budget + 1, in both argument orders.
+TEST(EditDistanceWithinTest, MatchesCappedEditDistance) {
+  Rng rng(20261017);
+  auto random_string = [&rng] {
+    // A small alphabet makes near-matches (and so small distances) common.
+    static constexpr char kAlphabet[] = "abcde \xc3";
+    size_t length = rng.Index(14);
+    std::string out;
+    for (size_t i = 0; i < length; ++i) {
+      out.push_back(kAlphabet[rng.Index(sizeof(kAlphabet) - 1)]);
+    }
+    return out;
+  };
+  for (int trial = 0; trial < 600; ++trial) {
+    std::string a = random_string();
+    std::string b = trial % 3 == 0 ? a : random_string();
+    if (trial % 3 == 0 && !b.empty()) b[rng.Index(b.size())] = 'z';
+    size_t exact = EditDistance(a, b);
+    for (size_t k = 0; k <= std::max(a.size(), b.size()); ++k) {
+      size_t expected = std::min(exact, k + 1);
+      EXPECT_EQ(EditDistanceWithin(a, b, k), expected)
+          << "a='" << a << "' b='" << b << "' k=" << k;
+      EXPECT_EQ(EditDistanceWithin(b, a, k), expected)
+          << "a='" << b << "' b='" << a << "' k=" << k;
+    }
+  }
 }
 
 TEST(EditSimilarityTest, Bounds) {

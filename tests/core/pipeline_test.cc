@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 namespace akb::core {
 namespace {
 
@@ -153,6 +156,30 @@ TEST(PipelinePaperWorldTest, TwoPaperClassesEndToEnd) {
   }
   EXPECT_GT(augmented.num_triples(), 1000u);
   EXPECT_GT(report.typing_accuracy, 0.9);
+}
+
+TEST(StageMetricLabelTest, SlugsStageNames) {
+  EXPECT_EQ(StageMetricLabel("DOM-tree extraction"), "dom_tree_extraction");
+  EXPECT_EQ(StageMetricLabel("existing-KB extraction"),
+            "existing_kb_extraction");
+  EXPECT_EQ(StageMetricLabel("save KB checkpoint"), "save_kb_checkpoint");
+}
+
+TEST_F(PipelineTest, MetricsHoldOneStageSamplePerStageThatRan) {
+  PipelineReport report = RunPipeline(SharedWorld(), FastConfig());
+  const std::string prefix = "akb.pipeline.stage_micros.";
+  std::map<std::string, int64_t> expected, recorded;
+  for (const StageStats& stage : report.stages) {
+    ++expected[prefix + StageMetricLabel(stage.name)];
+  }
+  for (const obs::MetricSnapshotEntry& entry : report.metrics.entries) {
+    if (entry.name.rfind(prefix, 0) != 0 || entry.count == 0) continue;
+    EXPECT_EQ(entry.kind, obs::MetricKind::kHistogram) << entry.name;
+    recorded[entry.name] = entry.count;
+  }
+  EXPECT_EQ(recorded, expected);
+  EXPECT_EQ(recorded.count(prefix + "dom_tree_extraction"), 1u);
+  for (const auto& [name, count] : expected) EXPECT_EQ(count, 1) << name;
 }
 
 TEST(FusionMethodTest, AllNamed) {
