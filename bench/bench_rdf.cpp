@@ -63,34 +63,6 @@ void BM_TripleStoreInsert(benchmark::State& state) {
 BENCHMARK(BM_TripleStoreInsert)->Arg(10000)->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 
-void BM_TripleStoreMatchByPredicate(benchmark::State& state) {
-  rdf::TripleStore store = BuildStore(100000, 4);
-  Rng rng(5);
-  rdf::TermId predicate =
-      store.dictionary().Find(rdf::Term::Iri("http://p/p7"));
-  for (auto _ : state) {
-    auto matches = store.Match({0, predicate, 0});
-    benchmark::DoNotOptimize(matches.size());
-  }
-}
-BENCHMARK(BM_TripleStoreMatchByPredicate)->Unit(benchmark::kMicrosecond);
-
-void BM_TripleStoreMatchBound(benchmark::State& state) {
-  rdf::TripleStore store = BuildStore(100000, 4);
-  Rng rng(6);
-  std::vector<rdf::Triple> probes;
-  for (int i = 0; i < 256; ++i) {
-    probes.push_back(store.triple(rng.Index(store.num_triples())));
-  }
-  size_t p = 0;
-  for (auto _ : state) {
-    const rdf::Triple& t = probes[p++ & 255];
-    auto matches = store.Match({t.subject, t.predicate, t.object});
-    benchmark::DoNotOptimize(matches.size());
-  }
-}
-BENCHMARK(BM_TripleStoreMatchBound);
-
 void BM_NTriplesWrite(benchmark::State& state) {
   rdf::TripleStore store = BuildStore(50000, 7);
   rdf::NTriplesWriteOptions options;

@@ -722,9 +722,6 @@ Status TripleStore::LoadSnapshot(const std::string& path,
     loaded.triples_.push_back(t);
     loaded.claims_of_.emplace_back();
     loaded.triple_index_.emplace(t, ti);
-    loaded.by_subject_[t.subject].push_back(ti);
-    loaded.by_predicate_[t.predicate].push_back(ti);
-    loaded.by_object_[t.object].push_back(ti);
   }
 
   // The claims blob is CRC-clean; parse its records.

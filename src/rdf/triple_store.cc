@@ -35,9 +35,6 @@ size_t TripleStore::Insert(const Triple& triple, Provenance provenance) {
     triples_.push_back(triple);
     claims_of_.emplace_back();
     triple_index_.emplace(triple, ti);
-    by_subject_[triple.subject].push_back(ti);
-    by_predicate_[triple.predicate].push_back(ti);
-    by_object_[triple.object].push_back(ti);
   }
   claims_of_[ti].push_back(claim_index);
   return ti;
@@ -54,57 +51,14 @@ bool TripleStore::Contains(const Triple& t) const {
 }
 
 std::vector<size_t> TripleStore::Match(const TriplePattern& pattern) const {
-  // Fully bound: direct lookup.
-  if (pattern.subject && pattern.predicate && pattern.object) {
-    auto it = triple_index_.find(
-        Triple{pattern.subject, pattern.predicate, pattern.object});
-    if (it == triple_index_.end()) return {};
-    return {it->second};
-  }
-
-  // Pick the smallest posting list among the bound positions as the
-  // candidate set — with >= 2 positions bound, probing the larger lists
-  // would scan (and reject) every triple of a hot subject/predicate even
-  // when the other bound position matches almost nothing. A bound term
-  // with no posting list at all means zero matches, regardless of how
-  // many triples the other positions touch: exit before scanning anything.
-  const std::vector<size_t>* candidates = nullptr;
-  bool dead_position = false;
-  auto consider = [&](const std::unordered_map<TermId, std::vector<size_t>>&
-                          index,
-                      TermId key) {
-    if (!key || dead_position) return;
-    auto it = index.find(key);
-    if (it == index.end()) {
-      dead_position = true;
-      return;
-    }
-    if (candidates == nullptr || it->second.size() < candidates->size()) {
-      candidates = &it->second;
-    }
-  };
-  consider(by_subject_, pattern.subject);
-  consider(by_predicate_, pattern.predicate);
-  consider(by_object_, pattern.object);
-  if (dead_position) return {};
-
   std::vector<size_t> out;
-  if (candidates == nullptr) {
-    // Fully unbound: scan everything.
-    out.resize(triples_.size());
-    for (size_t i = 0; i < triples_.size(); ++i) out[i] = i;
-    return out;
-  }
-  auto matches = [&](const Triple& t) {
-    return (!pattern.subject || t.subject == pattern.subject) &&
-           (!pattern.predicate || t.predicate == pattern.predicate) &&
-           (!pattern.object || t.object == pattern.object);
-  };
-  // Posting lists record distinct-triple indices in creation order, which
-  // is strictly ascending (the store is append-only), so the filtered
-  // output is already sorted — no sort pass needed.
-  for (size_t ti : *candidates) {
-    if (matches(triples_[ti])) out.push_back(ti);
+  for (size_t ti = 0; ti < triples_.size(); ++ti) {
+    const Triple& t = triples_[ti];
+    if ((!pattern.subject || t.subject == pattern.subject) &&
+        (!pattern.predicate || t.predicate == pattern.predicate) &&
+        (!pattern.object || t.object == pattern.object)) {
+      out.push_back(ti);
+    }
   }
   return out;
 }
@@ -114,15 +68,6 @@ std::string TripleStore::DecodeToString(size_t triple_index) const {
   return dict_.Lookup(t.subject).ToString() + " " +
          dict_.Lookup(t.predicate).ToString() + " " +
          dict_.Lookup(t.object).ToString() + " .";
-}
-
-std::vector<TermId> TripleStore::ObjectsOf(TermId subject,
-                                           TermId predicate) const {
-  std::vector<TermId> out;
-  for (size_t ti : Match(TriplePattern{subject, predicate, kInvalidTermId})) {
-    out.push_back(triples_[ti].object);
-  }
-  return out;
 }
 
 }  // namespace akb::rdf

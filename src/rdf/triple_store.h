@@ -40,9 +40,9 @@ struct TriplePatternHash {
 /// Append-only triple store.
 ///
 /// Stores *claims* (triple + provenance); the same triple asserted by two
-/// sources yields two claims but one distinct triple. Maintains S/P/O hash
-/// indexes over distinct triples for pattern matching, and a per-triple claim
-/// list for fusion.
+/// sources yields two claims but one distinct triple, and keeps a per-triple
+/// claim list for fusion. It has no per-position index: the read path is
+/// serve::KbView, whose sorted permutations answer every pattern shape.
 class TripleStore {
  public:
   TripleStore() = default;
@@ -80,13 +80,12 @@ class TripleStore {
   bool Contains(const Triple& t) const;
 
   /// Distinct-triple indices matching the pattern, in insertion order.
+  /// A linear filter over every triple — the reference oracle that
+  /// serve::KbView's indexed answers are checked against, not a read path.
   std::vector<size_t> Match(const TriplePattern& pattern) const;
 
   /// Decodes triple `i` into N-Triples surface form ("<s> <p> <o> .").
   std::string DecodeToString(size_t triple_index) const;
-
-  /// All distinct objects for (subject, predicate), in insertion order.
-  std::vector<TermId> ObjectsOf(TermId subject, TermId predicate) const;
 
   /// Writes the store as a binary snapshot (see rdf/snapshot.h): the
   /// page-aligned zero-copy serve image — dictionary arena, triple array,
@@ -113,9 +112,6 @@ class TripleStore {
   std::vector<Triple> triples_;
   std::vector<std::vector<size_t>> claims_of_;
   std::unordered_map<Triple, size_t, TripleHash> triple_index_;
-  std::unordered_map<TermId, std::vector<size_t>> by_subject_;
-  std::unordered_map<TermId, std::vector<size_t>> by_predicate_;
-  std::unordered_map<TermId, std::vector<size_t>> by_object_;
 };
 
 }  // namespace akb::rdf

@@ -1,12 +1,12 @@
 // Immutable, query-optimized view of a knowledge base — the read path.
 //
-// TripleStore is the write-side structure: append-only, claim-carrying,
-// with per-position hash indexes whose pattern resolution degrades to a
-// posting-list scan. KbView is what the paper's "actionable" KB serves
-// queries from: the distinct triples plus three sorted permutation
-// indexes (SPO, POS, OSP), so every one of the 8 triple-pattern shapes
-// resolves to one contiguous index range by binary search — O(log n + k)
-// for k results, never a scan over an unrelated posting list.
+// TripleStore is the write-side structure: append-only and claim-carrying,
+// with no per-position index (its Match is a linear scan, kept as the
+// reference oracle). KbView is the only index that answers triple
+// patterns, and what the paper's "actionable" KB serves queries from: the
+// distinct triples plus three sorted permutation indexes (SPO, POS, OSP),
+// so every one of the 8 triple-pattern shapes resolves to one contiguous
+// index range by binary search — O(log n + k) for k results.
 //
 // Shape -> index routing (prefix in parentheses):
 //   (s p o) -> SPO exact      (s p ?) -> SPO (s,p)    (s ? ?) -> SPO (s)
@@ -110,7 +110,7 @@ class KbView {
 
   /// Distinct-triple indices matching `pattern` — the same index space
   /// and result set as TripleStore::Match on the source store, answered
-  /// in O(log n + k) instead of a posting-list scan. Order differs:
+  /// in O(log n + k) instead of a scan over every triple. Order differs:
   /// results come back in the resolved permutation's key order, which is
   /// deterministic for a given view but not ascending (sorting k indices
   /// per query would cost more than the search; compare as sets).

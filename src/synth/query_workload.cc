@@ -126,11 +126,28 @@ std::vector<serve::BgpQuery> GenerateBgpWorkload(
   rng.Shuffle(&order);
   ZipfTable zipf(order.size(), std::max(1e-3, config.zipf));
 
+  // Subject lookups: `subject << 32 | triple index`, sorted, so a
+  // subject's triples form one run in ascending index order.
+  std::vector<uint64_t> by_subject(store.num_triples());
+  for (size_t i = 0; i < by_subject.size(); ++i) {
+    by_subject[i] = uint64_t(store.triple(i).subject) << 32 | i;
+  }
+  std::sort(by_subject.begin(), by_subject.end());
+  auto triples_of = [&](TermId subject) {
+    std::vector<size_t> out;
+    for (auto it = std::lower_bound(by_subject.begin(), by_subject.end(),
+                                    uint64_t(subject) << 32);
+         it != by_subject.end() && *it >> 32 == subject; ++it) {
+      out.push_back(size_t(*it & 0xffffffffu));
+    }
+    return out;
+  };
+
   // Star over one entity variable: selective bound-object arms built from
   // the subject's actual triples, usually ending in an open "?v" tail.
   auto add_star = [&](serve::BgpQuery* q, const rdf::Triple& base) {
     serve::BgpTerm e = q->Var("e");
-    std::vector<size_t> arms = store.Match({base.subject, 0, 0});
+    std::vector<size_t> arms = triples_of(base.subject);
     size_t want = min_patterns + rng.Index(max_patterns - min_patterns + 1);
     std::vector<size_t> picks =
         rng.SampleWithoutReplacement(arms.size(), want);
@@ -165,7 +182,7 @@ std::vector<serve::BgpQuery> GenerateBgpWorkload(
     if (rng.Bernoulli(config.chain_weight)) {
       // Two-hop path ?a -p-> ?b -p2-> (o2|?v), when the object id links
       // onward as a subject.
-      std::vector<size_t> hops = store.Match({base.object, 0, 0});
+      std::vector<size_t> hops = triples_of(base.object);
       if (!hops.empty()) {
         const rdf::Triple& hop = store.triple(hops[rng.Index(hops.size())]);
         serve::BgpTerm a = q.Var("a");

@@ -84,13 +84,6 @@ TEST_F(TripleStoreTest, MatchUnknownTermReturnsEmpty) {
   EXPECT_TRUE(store_.Match({ghost, 0, 0}).empty());
 }
 
-TEST_F(TripleStoreTest, ObjectsOf) {
-  auto objects = store_.ObjectsOf(s1_, p1_);
-  ASSERT_EQ(objects.size(), 2u);
-  EXPECT_EQ(objects[0], o1_);
-  EXPECT_EQ(objects[1], o2_);
-}
-
 TEST_F(TripleStoreTest, DecodeToString) {
   auto matches = store_.Match({s2_, p2_, o2_});
   ASSERT_EQ(matches.size(), 1u);
@@ -116,11 +109,11 @@ TEST_F(TripleStoreTest, InsertDecodedInternsTerms) {
   EXPECT_DOUBLE_EQ(fresh.claim(0).provenance.confidence, 0.7);
 }
 
-// Regression coverage for Match's candidate-list selection: with >= 2
-// bound positions the scan must start from the smallest posting list, a
-// bound term with no postings must short-circuit to empty, and results
-// must come back ascending without a sort pass (posting lists are
-// ascending because the store is append-only).
+// Match is the reference oracle the serving indexes are checked against,
+// so it is pinned here on a skewed store (hot terms on every axis, rare
+// ones crossing them): every shape must equal a full scan, a bound term
+// that appears in no triple must give an empty result, and results must
+// come back in ascending triple-index order.
 class TripleStoreMatchSelectivityTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -167,8 +160,8 @@ class TripleStoreMatchSelectivityTest : public ::testing::Test {
 };
 
 TEST_F(TripleStoreMatchSelectivityTest, EveryBoundPositionPermutation) {
-  // All shapes, crossing hot x rare posting lists in both directions so
-  // whichever list Match probes, the answer must equal the full scan.
+  // All shapes, crossing hot x rare terms in both directions; the answer
+  // must equal the full scan.
   std::vector<TriplePattern> patterns = {
       {hot_s_, rare_p_, 0},       {rare_s_, hot_p_, 0},
       {hot_s_, 0, rare_o_},       {rare_s_, 0, hot_o_},
@@ -193,9 +186,9 @@ TEST_F(TripleStoreMatchSelectivityTest, RareSideSelectsTheSingleTriple) {
 }
 
 TEST_F(TripleStoreMatchSelectivityTest, DeadBoundPositionShortCircuits) {
-  // `unused_` is interned but appears in no triple: no posting list at
-  // all. Any pattern binding it must be empty, even when the other bound
-  // position has the hottest posting list in the store.
+  // `unused_` is interned but appears in no triple. Any pattern binding
+  // it must be empty, even when the other bound position is the hottest
+  // term in the store.
   EXPECT_TRUE(store_.Match({unused_, 0, 0}).empty());
   EXPECT_TRUE(store_.Match({hot_s_, 0, unused_}).empty());
   EXPECT_TRUE(store_.Match({unused_, hot_p_, 0}).empty());

@@ -15,10 +15,10 @@
 
 namespace akb::serve {
 
-/// A random store with seed-dependent shape: pool sizes vary so posting
-/// lists range from singleton to hot, and some seeds produce heavy term
-/// reuse (dense patterns) while others stay sparse. `scale` multiplies
-/// the pool and claim counts (1 = the historical default).
+/// A random store with seed-dependent shape: pool sizes vary so a term
+/// occurs in anything from one triple to a hot run, and some seeds produce
+/// heavy term reuse (dense patterns) while others stay sparse. `scale`
+/// multiplies the pool and claim counts (1 = the historical default).
 inline rdf::TripleStore RandomStore(uint64_t seed, size_t scale = 1) {
   Rng rng(seed);
   rdf::TripleStore store;
