@@ -3,7 +3,8 @@
 // writes into).
 //
 // Acceptance budget: opening a serving view from the zero-copy snapshot
-// of a 1M-triple KB (mmap + validate) must take <= 100 ms. Emits the
+// of a 1M-triple KB (mmap + validate) must take <= 100 ms. The save of
+// that KB is recorded next to it (save_v2_ms) without a bound. Emits the
 // common "akb-bench-v1" file (BENCH_bench_rdf.json).
 #include <benchmark/benchmark.h>
 
@@ -181,12 +182,22 @@ void PrintColdStartReport(obs::BenchSuite* suite) {
     }
   }
 
+  // Publishing: the whole save (dictionary arena, triple array, the three
+  // permutation indexes, claims, fsync and rename), median of three.
   std::string path = std::string(P_tmpdir) + "/bench_cold.akbsnap";
   rdf::SnapshotStats stats;
-  if (!store.SaveSnapshot(path, rdf::SnapshotFormat::kV2, &stats).ok()) {
-    std::fprintf(stderr, "FATAL: cold-start snapshot save failed\n");
-    std::abort();
+  constexpr int kSaveReps = 3;
+  std::vector<double> save_ms;
+  for (int r = 0; r < kSaveReps; ++r) {
+    Stopwatch watch;
+    if (!store.SaveSnapshot(path, rdf::SnapshotFormat::kV2, &stats).ok()) {
+      std::fprintf(stderr, "FATAL: cold-start snapshot save failed\n");
+      std::abort();
+    }
+    save_ms.push_back(watch.ElapsedMillis());
   }
+  std::sort(save_ms.begin(), save_ms.end());
+  const double save_median_ms = save_ms[kSaveReps / 2];
 
   // Correctness gate before timing: the view answers like the store.
   {
@@ -219,12 +230,13 @@ void PrintColdStartReport(obs::BenchSuite* suite) {
     open_ms = std::min(open_ms, watch.ElapsedMillis());
   }
 
-  TextTable table({"Snapshot", "File (MB)", "Open (ms)"});
-  table.set_title("Cold start to serving view, " +
+  TextTable table({"Snapshot", "File (MB)", "Save (ms)", "Open (ms)"});
+  table.set_title("Publish and cold start to serving view, " +
                   std::to_string(store.num_triples()) +
                   " distinct triples");
-  table.AddRow({"mmap + validate", FormatDouble(double(stats.bytes) / 1e6, 1),
-                FormatDouble(open_ms, 1)});
+  table.AddRow({"save; mmap + validate",
+                FormatDouble(double(stats.bytes) / 1e6, 1),
+                FormatDouble(save_median_ms, 1), FormatDouble(open_ms, 1)});
   std::printf("%s\n", table.ToString().c_str());
   std::printf("Budget: <= %.0f ms — %s\n\n", kColdStartBudgetMs,
               open_ms <= kColdStartBudgetMs ? "within budget" : "OVER BUDGET");
@@ -233,6 +245,9 @@ void PrintColdStartReport(obs::BenchSuite* suite) {
               {{"triples", double(store.num_triples())},
                {"file_bytes", double(stats.bytes)},
                {"budget_max", kColdStartBudgetMs}}});
+  suite->Add({"save_v2_ms", save_median_ms, "ms", kSaveReps,
+              {{"triples", double(store.num_triples())},
+               {"file_bytes", double(stats.bytes)}}});
 
   std::remove(path.c_str());
 }

@@ -725,8 +725,11 @@ PipelineReport RunPipeline(const synth::World& world,
     // cold claim assembly or a warm-start load, so checkpoints can be
     // re-saved / migrated).
     stage("save KB checkpoint", [&]() -> size_t {
-      rdf::TripleStore checkpoint =
-          EncodeClaimCheckpoint(table, item_meta, kb_items);
+      rdf::TripleStore checkpoint;
+      {
+        obs::ScopedSpan span("checkpoint.encode");
+        checkpoint = EncodeClaimCheckpoint(table, item_meta, kb_items);
+      }
       rdf::SnapshotStats snap;
       Status s;
       {

@@ -41,11 +41,18 @@ struct PermIndexData {
   std::vector<uint64_t> keys;
 };
 
-/// Builds one permutation over `triples[0, n)`. Distinct triples have
-/// distinct keys in every permutation, so the sort is total and the
-/// result deterministic — the foundation of v2 snapshot byte-determinism.
-PermIndexData BuildPermIndex(const Triple* triples, size_t n,
-                             Permutation perm);
+/// Builds all three permutations over `triples[0, n)`, indexed by
+/// Permutation. Distinct triples have distinct keys in every permutation,
+/// so each order is unique — whatever builds it — and the result is
+/// deterministic: the foundation of v2 snapshot byte-determinism.
+///
+/// Linear time: stable LSD counting-sort passes chained through the
+/// rotations. SPO is sorted from store order by o, then p, then s; OSP is
+/// one stable pass by o over SPO; POS is one stable pass by p over OSP.
+/// Any TermId up to UINT32_MAX is safe (ids need not be in a dictionary);
+/// scratch memory is O(n) beyond the output. Requires n < 2^32.
+std::array<PermIndexData, 3> BuildPermIndexes(const Triple* triples,
+                                              size_t n);
 
 }  // namespace akb::rdf
 

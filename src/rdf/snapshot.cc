@@ -18,6 +18,9 @@
 #include <immintrin.h>
 #endif
 
+#include "common/stopwatch.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "rdf/perm_index.h"
 #include "rdf/triple_store.h"
 
@@ -616,9 +619,16 @@ Status TripleStore::WriteSnapshotFile(const std::string& path,
   constexpr uint32_t kOrderIds[3] = {v2::kSpoOrder, v2::kPosOrder,
                                      v2::kOspOrder};
   constexpr uint32_t kKeyIds[3] = {v2::kSpoKeys, v2::kPosKeys, v2::kOspKeys};
+  std::array<PermIndexData, 3> perms;
+  {
+    obs::ScopedSpan span("snapshot.index");
+    Stopwatch watch;
+    perms = BuildPermIndexes(triples_.data(), triples_.size());
+    AKB_HISTOGRAM_RECORD("akb.snapshot.index_build_micros",
+                         watch.ElapsedMicros());
+  }
   for (int p = 0; p < 3; ++p) {
-    PermIndexData index =
-        BuildPermIndex(triples_.data(), triples_.size(), Permutation(p));
+    const PermIndexData& index = perms[p];
     writer.WriteSection(kOrderIds[p], index.order.data(),
                         index.order.size() * 4, index.order.size());
     writer.WriteSection(kKeyIds[p], index.keys.data(), index.keys.size() * 8,

@@ -54,9 +54,8 @@ KbView::KbView(const rdf::TripleStore& store) {
 
   // Same builder as the snapshot writer, so a built view and a mapped
   // view of the same store are byte-identical structures.
+  owned_perm_ = rdf::BuildPermIndexes(triples_, num_triples_);
   for (int p = 0; p < 3; ++p) {
-    owned_perm_[p] =
-        rdf::BuildPermIndex(triples_, num_triples_, Permutation(p));
     order_[p] = owned_perm_[p].order.data();
     keys_[p] = owned_perm_[p].keys.data();
   }

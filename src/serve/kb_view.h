@@ -32,6 +32,7 @@
 #ifndef AKB_SERVE_KB_VIEW_H_
 #define AKB_SERVE_KB_VIEW_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -173,7 +174,7 @@ class KbView {
   std::vector<uint64_t> owned_term_offsets_;
   std::vector<uint8_t> owned_term_kinds_;
   std::vector<char> owned_term_bytes_;
-  rdf::PermIndexData owned_perm_[3];
+  std::array<rdf::PermIndexData, 3> owned_perm_;
 
   // Borrowed-mode backing: keeps the mapped snapshot alive.
   std::shared_ptr<rdf::MmapFile> mapping_;

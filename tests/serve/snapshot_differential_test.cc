@@ -109,8 +109,9 @@ TEST(SnapshotDifferentialTest, MappedViewEqualsStoreOracle) {
       EXPECT_EQ(Sorted(direct.Match(pattern)), expected) << "seed " << seed;
       EXPECT_EQ(mapped->Count(pattern), expected.size()) << "seed " << seed;
       // The borrowed view's permutation order must equal the rebuilt
-      // view's: BuildPermIndex is the single sort both sides share, so
-      // even result ORDER (not just the set) is backing-independent.
+      // view's: BuildPermIndexes is the single index builder both sides
+      // share, and each sorted order is unique, so even result ORDER
+      // (not just the set) is backing-independent.
       EXPECT_EQ(mapped->Match(pattern), direct.Match(pattern))
           << "seed " << seed;
     }
