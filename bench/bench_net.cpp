@@ -2,16 +2,17 @@
 // sustained-QPS run over the wire.
 //
 // Phase 1 (hot-key storm): many clients hammer a handful of identical
-// cache-miss patterns through the epoll server with the result cache
-// off, once with single-flight coalescing on and once off, at equal
-// concurrency. The acceptance headline: coalescing must cut backend
-// index scans (the akb.serve.queries delta) by >= 10x, and every
-// response must be byte-identical to a direct QueryEngine execution of
-// the same pattern. Enforced when AKB_REQUIRE_NET_DEDUP is set (CI sets
-// it; interactive runs just report).
+// patterns through the epoll server (single patterns are never cached,
+// so each execution is an index scan), once with single-flight
+// coalescing on and once off, at equal concurrency. The acceptance
+// headline: coalescing must cut backend index scans (the
+// akb.serve.queries delta) by >= 10x, and every response must be
+// byte-identical to a direct QueryEngine execution of the same pattern.
+// Enforced when AKB_REQUIRE_NET_DEDUP is set (CI sets it; interactive
+// runs just report).
 //
-// Phase 2 (sustained Zipf): a realistic mixed workload (cache on,
-// per-request deadline) measuring client-observed sustained QPS, p50/p99
+// Phase 2 (sustained Zipf): a realistic mixed workload (per-request
+// deadline) measuring client-observed sustained QPS, p50/p99
 // latency, and shed rate.
 //
 // Emits the common "akb-bench-v1" file (BENCH_net.json) with both modes
@@ -219,9 +220,9 @@ RunStats RunClients(net::Server* server,
   return stats;
 }
 
-// Phase 1: the coalescing headline — the classic cache stampede: every
-// client hammering the SAME cache-miss pattern. Same concurrency, same
-// request stream, cache off; only enable_coalescing differs.
+// Phase 1: the coalescing headline — the classic stampede: every client
+// hammering the SAME pattern. Same concurrency, same request stream;
+// only enable_coalescing differs.
 void RunStormPhase(obs::BenchSuite* suite) {
   constexpr size_t kHotKeys = 1;
   constexpr size_t kClients = 8;
@@ -230,7 +231,6 @@ void RunStormPhase(obs::BenchSuite* suite) {
   auto patterns = HotPatterns(kHotKeys);
 
   serve::QueryEngineConfig engine_config;
-  engine_config.enable_cache = false;  // every request is a cache miss
   engine_config.num_workers = 1;
 
   // The reference answers, from direct engine execution with no server
@@ -280,9 +280,9 @@ void RunStormPhase(obs::BenchSuite* suite) {
   double dedup = scans[0] > 0 ? scans[1] / scans[0] : 0.0;
   TextTable table({"Coalescing", "Backend scans", "Wire QPS", "Reduction"});
   table.set_title(
-      "Hot-key cache-miss storm: " + std::to_string(kClients) +
+      "Hot-key storm: " + std::to_string(kClients) +
       " clients x pipeline " + std::to_string(kDepth) + ", " +
-      std::to_string(kHotKeys) + " hot patterns, cache off");
+      std::to_string(kHotKeys) + " hot patterns");
   table.AddRow({"off", FormatDouble(scans[1], 0), FormatDouble(qps[1], 0),
                 "1.0x"});
   table.AddRow({"on", FormatDouble(scans[0], 0), FormatDouble(qps[0], 0),
@@ -314,8 +314,8 @@ void RunStormPhase(obs::BenchSuite* suite) {
   }
 }
 
-// Phase 2: sustained mixed Zipf workload over the wire, cache on,
-// per-request deadline — the numbers a capacity plan would use.
+// Phase 2: sustained mixed Zipf workload over the wire, per-request
+// deadline — the numbers a capacity plan would use.
 void RunSustainedPhase(obs::BenchSuite* suite) {
   constexpr size_t kClients = 8;
   constexpr size_t kPerClient = 8192;
@@ -348,7 +348,7 @@ void RunSustainedPhase(obs::BenchSuite* suite) {
   TextTable table({"Metric", "Value"});
   table.set_title("Sustained Zipf workload over the wire (" +
                   std::to_string(kClients) + " clients x pipeline " +
-                  std::to_string(kDepth) + ", cache on, 2s deadline)");
+                  std::to_string(kDepth) + ", 2s deadline)");
   table.AddRow({"Sustained QPS", FormatDouble(qps, 0)});
   table.AddRow({"p50 latency (us)", FormatDouble(stats.p50_nanos / 1e3, 1)});
   table.AddRow({"p99 latency (us)", FormatDouble(stats.p99_nanos / 1e3, 1)});

@@ -227,14 +227,14 @@ void PrintThroughputReport(obs::BenchSuite* suite) {
   workload_config.seed = 23;
   auto patterns = synth::GenerateQueryWorkload(store, workload_config);
 
-  TextTable table({"Workers", "Queries/s", "Hit rate"});
+  TextTable table({"Workers", "Queries/s"});
   table.set_title("QueryEngine batch throughput, mixed synthetic workload (" +
                   std::to_string(patterns.size()) + " queries)");
   for (size_t workers : {size_t(1), size_t(2), size_t(4), size_t(8)}) {
     serve::QueryEngineConfig config;
     config.num_workers = workers;
     serve::QueryEngine engine(view, config);
-    engine.ExecuteBatch(patterns);  // Warm the cache once.
+    engine.ExecuteBatch(patterns);  // Warm the pool and pages once.
     double best_s = 1e300;
     for (int r = 0; r < 3; ++r) {
       Stopwatch watch;
@@ -243,15 +243,9 @@ void PrintThroughputReport(obs::BenchSuite* suite) {
       best_s = std::min(best_s, double(watch.ElapsedMicros()) / 1e6);
     }
     double qps = best_s > 0 ? patterns.size() / best_s : 0.0;
-    serve::ResultCacheStats stats = engine.cache()->Stats();
-    double hit_rate = stats.hits + stats.misses > 0
-                          ? double(stats.hits) / (stats.hits + stats.misses)
-                          : 0.0;
-    table.AddRow({std::to_string(workers), FormatDouble(qps, 0),
-                  FormatDouble(hit_rate * 100.0, 1) + "%"});
+    table.AddRow({std::to_string(workers), FormatDouble(qps, 0)});
     suite->Add({"engine_qps_w" + std::to_string(workers), qps, "qps", 3,
-                {{"workers", double(workers)},
-                 {"cache_hit_rate", hit_rate}}});
+                {{"workers", double(workers)}}});
   }
   std::printf("%s\n", table.ToString().c_str());
 }
@@ -287,14 +281,12 @@ void BM_EngineExecuteBgpCached(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineExecuteBgpCached);
 
-void BM_EngineExecuteCached(benchmark::State& state) {
-  const serve::KbView& view = BigView();
+void BM_EngineExecute(benchmark::State& state) {
   static serve::QueryEngine* engine = [] {
     serve::QueryEngineConfig config;
     config.num_workers = 1;
     return new serve::QueryEngine(BigView(), config);
   }();
-  (void)view;
   auto patterns = SubjectPatterns(256);
   size_t i = 0;
   for (auto _ : state) {
@@ -302,7 +294,7 @@ void BM_EngineExecuteCached(benchmark::State& state) {
   }
   state.SetItemsProcessed(int64_t(state.iterations()));
 }
-BENCHMARK(BM_EngineExecuteCached);
+BENCHMARK(BM_EngineExecute);
 
 }  // namespace
 

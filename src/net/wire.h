@@ -26,7 +26,8 @@
 //   u8  type           (echoes the request)
 //   u64 request_id
 //   u8  status_code    (StatusCode numeric value)
-//   u8  flags          (bit 0: served from the result cache;
+//   u8  flags          (bit 0: served from the join cache — never set
+//                       for a single pattern, which is not cached;
 //                       bit 1: coalesced — this response was fanned out
 //                       from another request's execution)
 //   u64 retry_after_nanos  (backoff hint; nonzero only on kUnavailable)

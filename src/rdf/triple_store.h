@@ -26,17 +26,6 @@ struct TriplePattern {
   }
 };
 
-/// Hash over all three positions (wildcards included), so patterns can key
-/// hash maps — e.g. the serving layer's result cache.
-struct TriplePatternHash {
-  size_t operator()(const TriplePattern& p) const {
-    size_t seed = std::hash<TermId>{}(p.subject);
-    HashCombine(&seed, std::hash<TermId>{}(p.predicate));
-    HashCombine(&seed, std::hash<TermId>{}(p.object));
-    return seed;
-  }
-};
-
 /// Append-only triple store.
 ///
 /// Stores *claims* (triple + provenance); the same triple asserted by two

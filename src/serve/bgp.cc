@@ -406,8 +406,9 @@ std::string DecodeBgp(const KbView& view, const BgpQuery& query) {
 }
 
 namespace {
-// Same rationale as ResultCache: a fixed bookkeeping charge keeps byte
-// budgets deterministic across platforms.
+// Fixed per-entry bookkeeping charge (list node, hash slot, shared_ptr
+// control block), approximated once so byte budgets are deterministic
+// across platforms instead of chasing allocator internals.
 constexpr size_t kBgpEntryOverheadBytes = 160;
 }  // namespace
 

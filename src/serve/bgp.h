@@ -42,7 +42,6 @@
 #include "rdf/triple_store.h"
 #include "serve/kb_view.h"
 #include "serve/query_trace.h"
-#include "serve/result_cache.h"
 #include "serve/sharded_lru.h"
 
 namespace akb::serve {
@@ -189,8 +188,8 @@ std::string DecodeBgp(const KbView& view, const BgpQuery& query);
 
 /// Sharded LRU over canonicalized BGP results (see CanonicalizeBgp):
 /// equivalent queries — any pattern order, any variable names — share
-/// one entry. Same core and stat invariants as ResultCache; counters
-/// land under akb.serve.bgp.cache.*.
+/// one entry. The sharded LRU core (serve/sharded_lru.h) keeps the stat
+/// invariants; counters land under akb.serve.bgp.cache.*.
 class BgpResultCache {
  public:
   using RowsPtr = std::shared_ptr<const BgpRows>;
@@ -208,7 +207,7 @@ class BgpResultCache {
   }
   void Put(const std::string& key, RowsPtr value, QueryTrace* trace);
 
-  ResultCacheStats Stats() const { return lru_.Stats(); }
+  CacheStats Stats() const { return lru_.Stats(); }
   void Clear() { lru_.Clear(); }
   size_t num_shards() const { return lru_.num_shards(); }
   size_t shard_budget_bytes() const { return lru_.shard_budget_bytes(); }

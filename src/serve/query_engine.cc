@@ -29,8 +29,7 @@ QueryEngine::QueryEngine(const KbView& view, QueryEngineConfig config)
       slow_log_(config.slow_log_capacity, config.slow_log_threshold_nanos),
       slo_(config.slo) {
   if (config_.enable_cache) {
-    cache_ = std::make_unique<ResultCache>(config_.cache);
-    bgp_cache_ = std::make_unique<BgpResultCache>(config_.bgp_cache);
+    bgp_cache_ = std::make_unique<BgpResultCache>(config_.cache);
   }
   size_t workers =
       config_.num_workers != 0
@@ -60,15 +59,8 @@ QueryResult QueryEngine::ExecuteInternal(const rdf::TriplePattern& pattern,
     }
   }
   QueryResult result;
-  if (cache_) {
-    result.matches = cache_->Get(pattern, t);
-    result.cache_hit = result.matches != nullptr;
-  }
-  if (!result.matches) {
-    result.matches =
-        std::make_shared<const std::vector<size_t>>(view_.Match(pattern, t));
-    if (cache_) cache_->Put(pattern, result.matches, t);
-  }
+  result.matches =
+      std::make_shared<const std::vector<size_t>>(view_.Match(pattern, t));
   const int64_t nanos = watch.ElapsedNanos();
   if (!in_batch) {
     // Batched queries amortize these two counters in ExecuteBatch.
@@ -84,8 +76,6 @@ QueryResult QueryEngine::ExecuteInternal(const rdf::TriplePattern& pattern,
   if (t != nullptr) {
     trace.total_nanos = nanos;
     trace.SetShape();
-    // A cache hit skips the traced Match, so fill range_size here.
-    if (trace.cache_hit) trace.range_size = result.matches->size();
     if (nanos >= slow_log_.threshold_nanos()) {
       // Decode only for slow-log candidates: dictionary lookups are too
       // costly for every sampled trace.

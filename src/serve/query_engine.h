@@ -1,10 +1,12 @@
-// Concurrent query execution over a KbView: cache -> index -> cache-fill,
-// batched onto the shared mapreduce thread pool.
+// Concurrent query execution over a KbView, batched onto the shared
+// mapreduce thread pool.
 //
 // The engine is the serving layer's front door. Execute() answers one
-// pattern (usable concurrently from any number of threads); ExecuteBatch()
-// fans a batch out across the engine's ThreadPool, one task per query,
-// with results positionally aligned to the input. Per-query latency is
+// pattern straight from KbView::Match (usable concurrently from any
+// number of threads); ExecuteBatch() fans a batch out across the
+// engine's ThreadPool, one task per query, with results positionally
+// aligned to the input. ExecuteBgp() answers a join: join cache ->
+// plan -> index-nested-loop join -> cache fill. Per-query latency is
 // recorded into the process-global obs registry:
 //
 //   akb.serve.queries            counter, one per executed pattern
@@ -12,20 +14,20 @@
 //   akb.serve.results            counter, total matches returned
 //   akb.serve.query.nanos        histogram (p50/p90/p99 in the dump)
 //   akb.serve.batch.micros       histogram, wall time per batch
-//   akb.serve.cache.{hits,misses,evictions}  from the result cache
+//   akb.serve.bgp.cache.{hits,misses,evictions}  from the join cache
 //
 // Beyond the process-lifetime registry, every engine owns an SloTracker
 // whose rolling windows answer "QPS / p99 / error rate right now", and a
 // head-sampled request-scoped tracing path: every Nth query (configured
-// by trace_sample_rate) carries a QueryTrace through the cache and the
-// index, and traces at or over the slow-log threshold land in a bounded
-// in-memory SlowQueryLog with per-stage timings and the decoded pattern.
-// Unsampled queries pay one thread-local increment for the sampling
-// decision and nothing else; see serve/query_trace.h.
+// by trace_sample_rate) carries a QueryTrace through the index (and, for
+// a join, the join cache), and traces at or over the slow-log threshold
+// land in a bounded in-memory SlowQueryLog with per-stage timings and
+// the decoded pattern. Unsampled queries pay one thread-local increment
+// for the sampling decision and nothing else; see serve/query_trace.h.
 //
-// Determinism: match content for a pattern depends only on the view, so
-// any worker count (and cache on or off) returns identical matches;
-// only the cache_hit flag is timing-dependent.
+// Determinism: results depend only on the view, so any worker count (and
+// join cache on or off) returns identical matches and rows; only a
+// join's cache_hit flag is timing-dependent.
 #ifndef AKB_SERVE_QUERY_ENGINE_H_
 #define AKB_SERVE_QUERY_ENGINE_H_
 
@@ -38,19 +40,19 @@
 #include "serve/bgp.h"
 #include "serve/kb_view.h"
 #include "serve/query_trace.h"
-#include "serve/result_cache.h"
+#include "serve/sharded_lru.h"
 
 namespace akb::serve {
 
 struct QueryEngineConfig {
   /// Worker threads for ExecuteBatch; 0 = one per hardware thread.
   size_t num_workers = 0;
-  /// Serve repeated patterns (and BGP joins) from the sharded LRU caches.
+  /// Serve repeated BGP joins from the join cache (keyed by the
+  /// canonicalized pattern set, see serve/bgp.h). Single patterns are
+  /// always answered from the index.
   bool enable_cache = true;
+  /// Budget/sharding for the join cache.
   ResultCacheConfig cache;
-  /// Budget/sharding for the BGP join-result cache (keyed by the
-  /// canonicalized pattern set, see serve/bgp.h).
-  ResultCacheConfig bgp_cache;
   /// Head-based sampling: the fraction of queries that carry a QueryTrace
   /// (0 = tracing off, 1 = every query, 0.01 = every 100th). Sampled
   /// traces feed the slow-query log.
@@ -64,10 +66,11 @@ struct QueryEngineConfig {
   obs::SloConfig slo;
 };
 
-/// One answered query. `matches` is never null; it may be shared with the
-/// cache and other callers, so treat it as immutable.
+/// One answered query. `matches` is never null; treat it as immutable.
+/// `cache_hit` is always false: single patterns are never cached (the
+/// field mirrors BgpExecResult's for callers that report both).
 struct QueryResult {
-  ResultCache::ResultPtr matches;
+  std::shared_ptr<const std::vector<size_t>> matches;
   bool cache_hit = false;
 };
 
@@ -115,8 +118,6 @@ class QueryEngine {
 
   const KbView& view() const { return view_; }
   /// Null when the cache is disabled.
-  const ResultCache* cache() const { return cache_.get(); }
-  /// Null when the cache is disabled.
   const BgpResultCache* bgp_cache() const { return bgp_cache_.get(); }
   size_t num_workers() const { return pool_->num_threads(); }
 
@@ -145,7 +146,6 @@ class QueryEngine {
 
   const KbView& view_;
   QueryEngineConfig config_;
-  std::unique_ptr<ResultCache> cache_;
   std::unique_ptr<BgpResultCache> bgp_cache_;
   std::unique_ptr<mapreduce::ThreadPool> pool_;
   /// 0 = tracing off; otherwise every `sample_interval_`th query is traced.

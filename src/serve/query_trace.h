@@ -5,7 +5,7 @@
 // millions of lookups per second from many threads. A QueryTrace is the
 // serve-path alternative: a small value object the engine fills on the
 // stack of the query it describes and hands through KbView::Match and
-// ResultCache::Get/Put by pointer. No global state, no locks, no
+// BgpResultCache::Get/Put by pointer. No global state, no locks, no
 // allocation on the untraced path; sampled queries (head-based,
 // QueryEngineConfig::trace_sample_rate) pay a few clock reads.
 //
@@ -26,7 +26,8 @@
 namespace akb::serve {
 
 /// One traced query, carried by value. Stage timings are nanoseconds;
-/// zero means the stage did not run (e.g. no cache fill after a hit).
+/// zero means the stage did not run (e.g. no cache fill after a join
+/// cache hit; single patterns never touch a cache).
 struct QueryTrace {
   uint64_t query_id = 0;
   rdf::TriplePattern pattern;

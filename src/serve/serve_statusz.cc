@@ -36,14 +36,11 @@ obs::Json KbSection(const KbView& view) {
   return kb;
 }
 
-// Shared by the pattern cache and the BGP join cache — both sit on the
-// same ShardedLru core and expose the same stat invariants.
-template <typename Cache>
-obs::Json CacheSection(const Cache* cache) {
+obs::Json CacheSection(const BgpResultCache* cache) {
   obs::Json section = obs::Json::Object();
   section.Set("enabled", cache != nullptr);
   if (cache == nullptr) return section;
-  const ResultCacheStats stats = cache->Stats();
+  const CacheStats stats = cache->Stats();
   section.Set("shards", int64_t(cache->num_shards()));
   section.Set("shard_budget_bytes", int64_t(cache->shard_budget_bytes()));
   section.Set("entries", int64_t(stats.entries));
@@ -63,7 +60,6 @@ obs::Json CacheSection(const Cache* cache) {
 
 void FillStatusReport(const QueryEngine& engine, obs::StatusReport* report) {
   report->AddSection("kb", KbSection(engine.view()));
-  report->AddSection("cache", CacheSection(engine.cache()));
   report->AddSection("bgp_cache", CacheSection(engine.bgp_cache()));
 
   const int64_t now = obs::NowMicros();

@@ -2,11 +2,12 @@
 // itself, folded into an obs::StatusReport.
 //
 // obs owns the report builder but cannot depend on serve, so this is the
-// bridge: FillStatusReport contributes the "kb", "cache", "query_latency",
-// "qps", "slo", and "slow_queries" sections from the engine's view,
-// result cache, rolling windows, and slow-query log. Callers (the CLI's
-// `statusz` command, serve-bench's --statusz-every) add the registry-wide
-// metrics and fusion-source sections themselves when they want them.
+// bridge: FillStatusReport contributes the "kb", "bgp_cache",
+// "query_latency", "qps", "slo", and "slow_queries" sections from the
+// engine's view, join cache, rolling windows, and slow-query log.
+// Callers (the CLI's `statusz` command, serve-bench's --statusz-every)
+// add the registry-wide metrics and fusion-source sections themselves
+// when they want them.
 #ifndef AKB_SERVE_SERVE_STATUSZ_H_
 #define AKB_SERVE_SERVE_STATUSZ_H_
 

@@ -1,6 +1,7 @@
-// Generic thread-safe sharded LRU — the cache core shared by the serving
-// layer's two result caches (single-pattern ResultCache, BGP join
-// BgpResultCache).
+// Generic thread-safe sharded LRU — the core of the serving layer's one
+// result cache, the BGP join cache (BgpResultCache, serve/bgp.h). Single
+// patterns are never cached: KbView answers each with two binary
+// searches, which is cheaper than a cache lookup.
 //
 // Keys hash to one of `num_shards` (power of two) independent LRU lists,
 // each behind its own mutex with an equal slice of the byte budget, so
@@ -10,7 +11,7 @@
 //
 // The template owns the mechanics (sharding, LRU order, byte accounting,
 // stat counters); policy — entry byte charges, obs counters, trace
-// hooks — lives in the typed wrappers, which is why Put takes the
+// hooks — lives in the typed wrapper, which is why Put takes the
 // pre-computed byte charge instead of inspecting the value.
 //
 // Stats are exact and internally consistent: every Get counts as exactly
@@ -29,6 +30,15 @@
 #include <vector>
 
 namespace akb::serve {
+
+struct ResultCacheConfig {
+  /// Independent LRU shards (rounded up to a power of two, minimum 1).
+  size_t num_shards = 16;
+  /// Total byte budget across all shards. Entries are charged their
+  /// payload plus a fixed bookkeeping overhead; an entry bigger than a
+  /// whole shard's slice is not admitted (counted under `oversize`).
+  size_t max_bytes = 64u << 20;
+};
 
 /// Aggregated cache counters. Monotonic counters are cumulative since
 /// construction; entries/bytes are the current residency.

@@ -9,7 +9,8 @@
 // and subject scans ("everything about entity E"), some predicate and
 // object scans (analytics-ish), and a slice of guaranteed misses (ids the
 // KB has never seen). Pattern targets are Zipf-skewed over the store's
-// triples so repeated hot keys exist for a result cache to earn its keep.
+// triples so repeated hot keys exist, as in a real serving workload (the
+// net layer's single-flight coalescing feeds on them).
 #ifndef AKB_SYNTH_QUERY_WORKLOAD_H_
 #define AKB_SYNTH_QUERY_WORKLOAD_H_
 
@@ -50,7 +51,7 @@ std::vector<rdf::TriplePattern> GenerateQueryWorkload(
 /// one entity variable, selective bound-object arms plus an open tail)
 /// and, where the KB's object ids reappear as subjects, two-hop path
 /// queries. Subjects are Zipf-skewed so hot joins repeat and the BGP
-/// result cache has something to do.
+/// join cache has something to do.
 struct BgpWorkloadConfig {
   size_t num_queries = 1000;
   uint64_t seed = 29;

@@ -208,16 +208,12 @@ TEST_F(TripleStoreMatchSelectivityTest, ResultsAscendingForEveryShape) {
   }
 }
 
-TEST(TriplePatternTest, EqualityAndHash) {
+TEST(TriplePatternTest, EqualityComparesAllPositions) {
   TriplePattern a{1, 2, 3};
   TriplePattern b{1, 2, 3};
   TriplePattern c{1, 2, 0};
   EXPECT_TRUE(a == b);
   EXPECT_FALSE(a == c);
-  EXPECT_EQ(TriplePatternHash{}(a), TriplePatternHash{}(b));
-  // Not a correctness requirement, but the obvious neighbors should not
-  // collide for the cache to shard usefully.
-  EXPECT_NE(TriplePatternHash{}(a), TriplePatternHash{}(c));
 }
 
 TEST(ExtractorKindTest, AllKindsNamed) {

@@ -160,8 +160,8 @@ TEST(BgpDifferentialTest, EngineCacheColdWarmAndOffAgreeWithNaive) {
     QueryEngineConfig cached_config;
     cached_config.num_workers = 2;
     // A small budget keeps evictions in play while entries still recur.
-    cached_config.bgp_cache.num_shards = 2;
-    cached_config.bgp_cache.max_bytes = 32u << 10;
+    cached_config.cache.num_shards = 2;
+    cached_config.cache.max_bytes = 32u << 10;
     QueryEngine cached(view, cached_config);
 
     QueryEngineConfig uncached_config;

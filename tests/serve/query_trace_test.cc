@@ -165,19 +165,30 @@ TEST_F(TracedEngineTest, SecondExecutionTracesTheCacheHit) {
   config.slow_log_threshold_nanos = 0;
   QueryEngine engine(view, config);
 
+  // Single patterns are never cached: a repeat is answered by the index.
   rdf::TriplePattern by_predicate{rdf::kInvalidTermId, knows_,
                                   rdf::kInvalidTermId};
   engine.Execute(by_predicate);
-  QueryResult hit = engine.Execute(by_predicate);
+  EXPECT_FALSE(engine.Execute(by_predicate).cache_hit);
+
+  // Joins are: the second run of the same join is a traced cache hit.
+  BgpQuery join;
+  BgpTerm friend_of = join.Var("f");
+  join.Add(BgpQuery::Bound(alice_), BgpQuery::Bound(knows_), friend_of);
+  join.Add(join.Var("x"), BgpQuery::Bound(knows_), friend_of);
+  engine.ExecuteBgp(join);
+  BgpExecResult hit = engine.ExecuteBgp(join);
+  ASSERT_TRUE(hit.status.ok()) << hit.status;
   EXPECT_TRUE(hit.cache_hit);
-  EXPECT_EQ(engine.sampled_queries(), 2u);
+  EXPECT_EQ(engine.sampled_queries(), 4u);
 
   bool saw_cache_hit_trace = false;
   for (const QueryTrace& trace : engine.slow_log().Snapshot()) {
     if (!trace.cache_hit) continue;
     saw_cache_hit_trace = true;
-    EXPECT_EQ(trace.range_size, hit.matches->size());
-    // A hit answers from the cache: the index stage never ran.
+    EXPECT_STREQ(trace.shape, "bgp");
+    EXPECT_EQ(trace.range_size, hit.rows->num_rows);
+    // A hit answers from the cache: the join never ran.
     EXPECT_EQ(trace.index_nanos, 0);
     EXPECT_EQ(trace.cache_put_nanos, 0);
   }

@@ -10,7 +10,7 @@
 //   akb_cli fuse-demo [--items=N] [--seed=N]
 //           [--save-kb=kb.akbsnap] [--load-kb=kb.akbsnap]
 //   akb_cli serve-bench [--load-kb=kb.akbsnap | --triples=N]
-//           [--queries=N] [--workers=N] [--batch=N] [--cache-mb=N]
+//           [--queries=N] [--workers=N] [--batch=N]
 //           [--no-cache] [--seed=N] [--bench-out=b.json]
 //           [--metrics-out=m.json] [--trace-sample=F] [--slow-log=N]
 //           [--slow-nanos=T] [--statusz-every=N]
@@ -21,7 +21,7 @@
 //   akb_cli serve-net [--load-kb=kb.akbsnap | --triples=N] [--host=ADDR]
 //           [--port=N] [--port-file=FILE] [--workers=N] [--net-workers=N]
 //           [--queue-depth=N] [--max-connections=N] [--no-coalescing]
-//           [--no-cache] [--cache-mb=N] [--duration=10s] [--seed=N]
+//           [--no-cache] [--duration=10s] [--seed=N]
 //   akb_cli net-bench [--connect=HOST:PORT | --load-kb=... | --triples=N]
 //           [--clients=N] [--queries=N] [--deadline=250ms] [--pipeline=N]
 //           [--zipf=F] [--no-coalescing] [--no-cache] [--net-workers=N]
@@ -33,6 +33,7 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdlib>
 #include <limits>
 #include <cstdio>
 #include <mutex>
@@ -295,6 +296,49 @@ bool BuildServeKb(const FlagSet& flags, uint64_t seed,
   return true;
 }
 
+// Shared engine/server configuration for the serve commands, read and
+// range-checked here once, before any thread starts: a negative count
+// would otherwise wrap to ~2^64 (a request for that many threads) and an
+// out-of-range port would wrap to another port. The join cache is on by
+// default (--no-cache turns it off); coalescing is on unless
+// --no-coalescing. `server` is null for the commands that run no server.
+// Prints the error naming the flag and returns false on a bad value.
+bool BuildServeConfigs(const FlagSet& flags,
+                       serve::QueryEngineConfig* engine,
+                       net::ServerConfig* server = nullptr) {
+  // Far above any useful pool size, far below a wrapped negative.
+  constexpr int64_t kMaxThreads = 1024;
+  constexpr int64_t kNoLimit = std::numeric_limits<int64_t>::max();
+  Status status;
+  auto in_range = [&](const char* name, int64_t fallback, int64_t max) {
+    const int64_t value = flags.GetInt(name, fallback);
+    if ((value < 0 || value > max) && status.ok()) {
+      status = Status::InvalidArgument(
+          std::string("--") + name + "=" + std::to_string(value) +
+          (max == kNoLimit
+               ? " must not be negative"
+               : " is out of range [0, " + std::to_string(max) + "]"));
+    }
+    return std::clamp<int64_t>(value, 0, max);
+  };
+  engine->num_workers = size_t(in_range("workers", 0, kMaxThreads));
+  engine->enable_cache = !flags.GetBool("no-cache");
+  if (server != nullptr) {
+    server->host = flags.GetString("host", "127.0.0.1");
+    server->port = uint16_t(in_range("port", 0, 65535));
+    server->num_workers = size_t(in_range("net-workers", 4, kMaxThreads));
+    server->max_connections =
+        size_t(in_range("max-connections", 1024, kNoLimit));
+    server->max_queue_depth = size_t(in_range("queue-depth", 1024, kNoLimit));
+    server->enable_coalescing = !flags.GetBool("no-coalescing");
+  }
+  if (!status.ok()) {
+    std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
+    return false;
+  }
+  return true;
+}
+
 void PrintTopSlowQueries(const serve::QueryEngine& engine, size_t limit) {
   auto slow = engine.slow_log().Snapshot();
   if (slow.empty()) return;
@@ -358,7 +402,7 @@ int RunJoinBench(const FlagSet& flags, const rdf::TripleStore& store,
 
   double hit_rate = 0.0;
   if (engine.bgp_cache()) {
-    serve::ResultCacheStats stats = engine.bgp_cache()->Stats();
+    serve::CacheStats stats = engine.bgp_cache()->Stats();
     hit_rate = stats.hits + stats.misses > 0
                    ? double(stats.hits) / double(stats.hits + stats.misses)
                    : 0.0;
@@ -410,6 +454,8 @@ int RunJoinBench(const FlagSet& flags, const rdf::TripleStore& store,
 }
 
 int RunServeBenchCommand(const FlagSet& flags) {
+  serve::QueryEngineConfig engine_config;
+  if (!BuildServeConfigs(flags, &engine_config)) return 2;
   uint64_t seed = uint64_t(flags.GetInt("seed", 19));
   rdf::TripleStore store;
   std::optional<serve::KbView> view_holder;
@@ -426,11 +472,6 @@ int RunServeBenchCommand(const FlagSet& flags) {
   workload_config.seed = seed + 1;
   auto patterns = synth::GenerateQueryWorkload(store, workload_config);
 
-  serve::QueryEngineConfig engine_config;
-  engine_config.num_workers = size_t(flags.GetInt("workers", 0));
-  engine_config.enable_cache = !flags.GetBool("no-cache");
-  engine_config.cache.max_bytes =
-      size_t(flags.GetInt("cache-mb", 64)) << 20;
   // Trace 1% by default; threshold 0 keeps the worst N of the sampled
   // traces, so a bench run always captures its slowest queries.
   engine_config.trace_sample_rate = flags.GetDouble("trace-sample", 0.01);
@@ -439,9 +480,9 @@ int RunServeBenchCommand(const FlagSet& flags) {
   serve::QueryEngine engine(view, engine_config);
   std::printf(
       "View ready: %zu triples, %.1f MiB of indexes, built in %.1f ms; "
-      "%zu workers, cache %s\n",
+      "%zu workers\n",
       view.num_triples(), double(view.IndexBytes()) / (1 << 20), build_ms,
-      engine.num_workers(), engine.cache() ? "on" : "off");
+      engine.num_workers());
 
   if (flags.GetBool("joins")) {
     return RunJoinBench(flags, store, view, engine, seed, build_ms);
@@ -477,20 +518,6 @@ int RunServeBenchCommand(const FlagSet& flags) {
       "Executed %zu queries (%zu matches) in %.3f s: %.0f queries/s, "
       "p50=%.0f ns p99=%.0f ns\n",
       patterns.size(), total_matches, seconds, qps, p50, p99);
-
-  double hit_rate = 0.0;
-  if (engine.cache()) {
-    serve::ResultCacheStats stats = engine.cache()->Stats();
-    hit_rate = stats.hits + stats.misses > 0
-                   ? double(stats.hits) / double(stats.hits + stats.misses)
-                   : 0.0;
-    std::printf(
-        "Cache: %.1f%% hit rate (%llu hits, %llu misses), "
-        "%llu entries / %.1f MiB resident, %llu evictions\n",
-        hit_rate * 100.0, (unsigned long long)stats.hits,
-        (unsigned long long)stats.misses, (unsigned long long)stats.entries,
-        double(stats.bytes) / (1 << 20), (unsigned long long)stats.evictions);
-  }
 
   // Rolling windows (trailing, from the engine's SLO tracker — "right
   // now" as opposed to the whole-run registry aggregates above).
@@ -528,7 +555,6 @@ int RunServeBenchCommand(const FlagSet& flags) {
                     {"p99_nanos", p99},
                     {"triples", double(view.num_triples())},
                     {"workers", double(engine.num_workers())},
-                    {"cache_hit_rate", hit_rate},
                     {"view_build_ms", build_ms}};
     suite.Add(std::move(result));
     Status status = suite.WriteFile(bench_out);
@@ -555,6 +581,8 @@ int RunServeBenchCommand(const FlagSet& flags) {
 // Builds (or loads) a KB, runs a short warmup workload so the rolling
 // windows and slow-query log have data, and prints the full statusz page.
 int RunStatuszCommand(const FlagSet& flags) {
+  serve::QueryEngineConfig engine_config;
+  if (!BuildServeConfigs(flags, &engine_config)) return 2;
   uint64_t seed = uint64_t(flags.GetInt("seed", 19));
   rdf::TripleStore store;
   std::optional<serve::KbView> view_holder;
@@ -565,8 +593,6 @@ int RunStatuszCommand(const FlagSet& flags) {
     return 1;
   }
 
-  serve::QueryEngineConfig engine_config;
-  engine_config.num_workers = size_t(flags.GetInt("workers", 0));
   // Trace every warmup query: this is introspection, not a benchmark.
   engine_config.trace_sample_rate = flags.GetDouble("trace-sample", 1.0);
   engine_config.slow_log_capacity = size_t(flags.GetInt("slow-log", 8));
@@ -608,43 +634,15 @@ int RunStatuszCommand(const FlagSet& flags) {
 volatile std::sig_atomic_t g_signal_stop = 0;
 void HandleStopSignal(int) { g_signal_stop = 1; }
 
-// Shared engine/server construction for serve-net and in-process
-// net-bench. The engine cache is on by default (--no-cache turns it off
-// for sustained-miss experiments); coalescing is on unless
-// --no-coalescing.
-net::ServerConfig BuildNetConfig(const FlagSet& flags) {
-  net::ServerConfig config;
-  config.host = flags.GetString("host", "127.0.0.1");
-  config.port = uint16_t(flags.GetInt("port", 0));
-  config.num_workers = size_t(flags.GetInt("net-workers", 4));
-  config.max_connections = size_t(flags.GetInt("max-connections", 1024));
-  config.max_queue_depth = size_t(flags.GetInt("queue-depth", 1024));
-  config.enable_coalescing = !flags.GetBool("no-coalescing");
-  return config;
-}
-
-serve::QueryEngineConfig BuildNetEngineConfig(const FlagSet& flags) {
-  serve::QueryEngineConfig config;
-  config.num_workers = size_t(flags.GetInt("workers", 0));
-  config.enable_cache = !flags.GetBool("no-cache");
-  config.cache.max_bytes = size_t(flags.GetInt("cache-mb", 64)) << 20;
-  return config;
-}
-
 // serve-net: the network front door as a process. Binds (port 0 =
 // ephemeral; --port-file publishes the bound port for scripts), serves
 // until --duration elapses or SIGINT/SIGTERM, then shuts down cleanly —
 // queued work is shed with kUnavailable, connections are flushed and
 // closed, and the exit code is 0 so CI can assert a clean stop.
 int RunServeNetCommand(const FlagSet& flags) {
-  uint64_t seed = uint64_t(flags.GetInt("seed", 19));
-  std::optional<serve::KbView> view_holder;
-  double build_ms = 0.0;
-  if (!BuildServeKb(flags, seed, 100000, nullptr, &view_holder, &build_ms)) {
-    return 1;
-  }
-  serve::QueryEngine engine(*view_holder, BuildNetEngineConfig(flags));
-
+  serve::QueryEngineConfig engine_config;
+  net::ServerConfig server_config;
+  if (!BuildServeConfigs(flags, &engine_config, &server_config)) return 2;
   auto duration = flags.GetDuration("duration", 0);
   if (!duration.ok()) {
     std::fprintf(stderr, "error: %s\n",
@@ -652,18 +650,26 @@ int RunServeNetCommand(const FlagSet& flags) {
     return 2;
   }
 
+  uint64_t seed = uint64_t(flags.GetInt("seed", 19));
+  std::optional<serve::KbView> view_holder;
+  double build_ms = 0.0;
+  if (!BuildServeKb(flags, seed, 100000, nullptr, &view_holder, &build_ms)) {
+    return 1;
+  }
+  serve::QueryEngine engine(*view_holder, engine_config);
+
   net::Server server(&engine);
-  Status started = server.Start(BuildNetConfig(flags));
+  Status started = server.Start(server_config);
   if (!started.ok()) {
     std::fprintf(stderr, "error: %s\n", started.ToString().c_str());
     return 1;
   }
-  std::printf("Serving %zu triples on %s:%u (%s, cache %s)\n",
-              view_holder->num_triples(),
-              flags.GetString("host", "127.0.0.1").c_str(), server.port(),
-              flags.GetBool("no-coalescing") ? "coalescing off"
-                                             : "coalescing on",
-              engine.cache() ? "on" : "off");
+  std::printf("Serving %zu triples on %s:%u (%s, join cache %s)\n",
+              view_holder->num_triples(), server_config.host.c_str(),
+              server.port(),
+              server_config.enable_coalescing ? "coalescing on"
+                                              : "coalescing off",
+              engine.bgp_cache() ? "on" : "off");
   std::fflush(stdout);
 
   std::string port_file = flags.GetString("port-file");
@@ -816,6 +822,9 @@ double Percentile(std::vector<int64_t>& sorted, double p) {
 // report the backend execution count (akb.serve.queries delta) — the
 // number the coalescing headline is measured on.
 int RunNetBenchCommand(const FlagSet& flags) {
+  serve::QueryEngineConfig engine_config;
+  net::ServerConfig server_config;
+  if (!BuildServeConfigs(flags, &engine_config, &server_config)) return 2;
   uint64_t seed = uint64_t(flags.GetInt("seed", 19));
   rdf::TripleStore store;
   std::optional<serve::KbView> view_holder;
@@ -844,17 +853,25 @@ int RunNetBenchCommand(const FlagSet& flags) {
   std::string connect = flags.GetString("connect");
   if (!connect.empty()) {
     size_t colon = connect.rfind(':');
-    if (colon == std::string::npos) {
-      std::fprintf(stderr, "error: --connect takes HOST:PORT (got %s)\n",
+    char* end = nullptr;
+    const long parsed =
+        colon == std::string::npos
+            ? 0
+            : std::strtol(connect.c_str() + colon + 1, &end, 10);
+    if (colon == std::string::npos || end == connect.c_str() + colon + 1 ||
+        *end != '\0' || parsed < 1 || parsed > 65535) {
+      std::fprintf(stderr,
+                   "error: --connect takes HOST:PORT with PORT in "
+                   "[1, 65535] (got %s)\n",
                    connect.c_str());
       return 2;
     }
     host = connect.substr(0, colon);
-    port = uint16_t(std::stoi(connect.substr(colon + 1)));
+    port = uint16_t(parsed);
   } else {
-    engine.emplace(*view_holder, BuildNetEngineConfig(flags));
+    engine.emplace(*view_holder, engine_config);
     server.emplace(&*engine);
-    Status started = server->Start(BuildNetConfig(flags));
+    Status started = server->Start(server_config);
     if (!started.ok()) {
       std::fprintf(stderr, "error: %s\n", started.ToString().c_str());
       return 1;
@@ -1041,7 +1058,8 @@ void PrintUsage() {
       "extract-dom:  --class=NAME --sites=N --pages=N --seeds=N\n"
       "serve-bench:  --load-kb=FILE (snapshot to serve; else --triples=N\n"
       "              synthesizes a KB) --queries=N --workers=N --batch=N\n"
-      "              --cache-mb=N --no-cache --seed=N --bench-out=FILE\n"
+      "              --no-cache (join cache off) --seed=N\n"
+      "              --bench-out=FILE"
       "              (akb-bench-v1 JSON) --metrics-out=FILE\n"
       "              --trace-sample=F (default 0.01) --slow-log=N\n"
       "              --slow-nanos=T (log threshold; 0 keeps the worst N\n"
@@ -1052,7 +1070,7 @@ void PrintUsage() {
       "serve-net:    --load-kb=FILE | --triples=N; --host=ADDR --port=N\n"
       "              (0 = ephemeral) --port-file=FILE (publish bound port)\n"
       "              --net-workers=N --queue-depth=N --max-connections=N\n"
-      "              --no-coalescing --no-cache --cache-mb=N\n"
+      "              --no-coalescing --no-cache (join cache off)\n"
       "              --duration=10s (0 = until SIGINT/SIGTERM; units\n"
       "              ns|us|ms|s|m|h, unit mandatory)\n"
       "net-bench:    --connect=HOST:PORT (else an in-process server over\n"
