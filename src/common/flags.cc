@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 
 #include "common/string_util.h"
 
@@ -79,6 +80,39 @@ double FlagSet::GetDouble(const std::string& name, double fallback) const {
   if (it == values_.end()) return fallback;
   double value = 0;
   return ParseNumber(it->second, &value) ? value : fallback;
+}
+
+Result<int64_t> FlagSet::GetIntStrict(const std::string& name,
+                                      int64_t fallback, int64_t min,
+                                      int64_t max) const {
+  auto it = values_.find(name);
+  if (it == values_.end()) return fallback;
+  const std::string flag = "--" + name + "=" + it->second;
+  int64_t value = 0;
+  if (!ParseNumber(it->second, &value)) {
+    return Status::InvalidArgument(flag + " is not an integer");
+  }
+  if (value < min || value > max) {
+    if (min == 0 && max == std::numeric_limits<int64_t>::max()) {
+      return Status::InvalidArgument(flag + " must not be negative");
+    }
+    return Status::InvalidArgument(flag + " is out of range [" +
+                                   std::to_string(min) + ", " +
+                                   std::to_string(max) + "]");
+  }
+  return value;
+}
+
+Result<double> FlagSet::GetDoubleStrict(const std::string& name,
+                                        double fallback) const {
+  auto it = values_.find(name);
+  if (it == values_.end()) return fallback;
+  double value = 0;
+  if (!ParseNumber(it->second, &value) || !std::isfinite(value)) {
+    return Status::InvalidArgument("--" + name + "=" + it->second +
+                                   " is not a finite number");
+  }
+  return value;
 }
 
 bool FlagSet::GetBool(const std::string& name, bool fallback) const {

@@ -6,6 +6,8 @@
 #ifndef AKB_COMMON_FLAGS_H_
 #define AKB_COMMON_FLAGS_H_
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -25,8 +27,8 @@ class FlagSet {
 
   /// Value accessors with defaults. GetInt/GetDouble tolerate surrounding
   /// whitespace and a leading '+', and return the default on parse failure
-  /// (check Has + GetString for strict handling). "--name=value" and
-  /// "--name value" parse identically through every accessor.
+  /// (GetIntStrict/GetDoubleStrict below reject it instead). "--name=value"
+  /// and "--name value" parse identically through every accessor.
   std::string GetString(const std::string& name,
                         const std::string& fallback = "") const;
   int64_t GetInt(const std::string& name, int64_t fallback = 0) const;
@@ -48,6 +50,18 @@ class FlagSet {
   /// the accepted grammar.
   Result<int64_t> GetDuration(const std::string& name,
                               int64_t fallback_nanos) const;
+
+  /// Strict numeric flags, with the handling GetDuration has: a missing
+  /// flag returns `fallback`; a malformed value ("abc", "", "1.5" for an
+  /// integer), or an integer outside [min, max], is a kInvalidArgument
+  /// error that names the flag and its value. Whitespace and a leading '+'
+  /// are tolerated as in GetInt/GetDouble.
+  Result<int64_t> GetIntStrict(
+      const std::string& name, int64_t fallback,
+      int64_t min = std::numeric_limits<int64_t>::min(),
+      int64_t max = std::numeric_limits<int64_t>::max()) const;
+  Result<double> GetDoubleStrict(const std::string& name,
+                                 double fallback) const;
 
  private:
   std::unordered_map<std::string, std::string> values_;

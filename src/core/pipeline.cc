@@ -568,7 +568,9 @@ PipelineReport RunPipeline(const synth::World& world,
       mapreduce::ParallelFor(pool, units.size(), [&](size_t u) {
         auto [c, s] = units[u];
         Stopwatch shard_watch;
-        obs::ScopedSpan span("extract.dom." + classes[c]);
+        // One span per site, so a trace names the straggler site.
+        obs::ScopedSpan span("extract.dom." + classes[c] + "." +
+                             sites_per_class[c][s].domain);
         site_shards[c][s] = dom_extractor.ExtractSite(
             sites_per_class[c][s], entity_names[c], seeds[c]);
         AKB_HISTOGRAM_RECORD("akb.pipeline.shard_micros",

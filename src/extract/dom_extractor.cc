@@ -82,16 +82,18 @@ DomExtraction DomTreeExtractor::ExtractSites(
       ++out.stats.passes;
 
       for (size_t p = 0; p < docs.size(); ++p) {
-        const html::Document& doc = docs[p];
-        std::vector<const html::Node*> texts = doc.TextNodes();
+        RowHarvester rows(docs[p]);
+        const std::vector<const html::Node*>& texts = rows.texts();
 
         // --- Classify entity vs non-entity nodes; pick the deepest entity
-        // node as the anchor E.
+        // node as the anchor E. Text nodes are named by their index in
+        // `texts`, which is what the row harvest takes.
         const html::Node* anchor = nullptr;
         std::string anchor_entity;
         bool anchor_is_candidate = false;
-        std::vector<const html::Node*> non_entity;
-        for (const html::Node* node : texts) {
+        std::vector<size_t> non_entity;
+        for (size_t t = 0; t < texts.size(); ++t) {
+          const html::Node* node = texts[t];
           std::string norm = NormalizeSurface(node->text());
           auto it = entities.find(norm);
           if (it != entities.end()) {
@@ -100,30 +102,29 @@ DomExtraction DomTreeExtractor::ExtractSites(
               anchor_entity = it->second;
             }
           } else {
-            non_entity.push_back(node);
+            non_entity.push_back(t);
           }
         }
         if (anchor == nullptr && config_.discover_entities) {
           // Entity-discovery fallback: the page's main heading names the
           // page's subject. The heading text becomes a *candidate* entity.
-          for (const html::Node* node : texts) {
+          for (size_t t = 0; t < texts.size(); ++t) {
+            const html::Node* node = texts[t];
             if (node->parent() != nullptr && node->parent()->is_element() &&
                 node->parent()->tag() == "h1") {
               anchor = node;
               anchor_entity = std::string(Trim(node->text()));
               anchor_is_candidate = true;
+              // The anchor is no longer a non-entity node.
+              non_entity.erase(
+                  std::remove(non_entity.begin(), non_entity.end(), t),
+                  non_entity.end());
               break;
             }
           }
-          if (anchor != nullptr) {
-            // The anchor is no longer a non-entity node.
-            non_entity.erase(
-                std::remove(non_entity.begin(), non_entity.end(), anchor),
-                non_entity.end());
-            if (pass == 0) {
-              ++out.stats.pages_with_candidate_anchor;
-              out.candidate_entities.push_back(anchor_entity);
-            }
+          if (anchor != nullptr && pass == 0) {
+            ++out.stats.pages_with_candidate_anchor;
+            out.candidate_entities.push_back(anchor_entity);
           }
         }
         if (pass == 0) {
@@ -137,16 +138,16 @@ DomExtraction DomTreeExtractor::ExtractSites(
         // signature (nodes sharing a path share one similarity test).
         struct PathGroup {
           html::TagPath path;
-          std::vector<const html::Node*> nodes;
+          std::vector<size_t> nodes;  // indices into texts
         };
         std::map<std::string, PathGroup> groups;
-        for (const html::Node* node : non_entity) {
+        for (size_t t : non_entity) {
           html::TagPath path =
-              html::PathBetween(anchor, node, config_.path_options);
+              html::PathBetween(anchor, texts[t], config_.path_options);
           if (path.empty()) continue;
           auto [it, inserted] = groups.try_emplace(path.ToString());
           if (inserted) it->second.path = std::move(path);
-          it->second.nodes.push_back(node);
+          it->second.nodes.push_back(t);
         }
 
         // --- Induced pattern set: paths of nodes whose text is already in
@@ -155,15 +156,15 @@ DomExtraction DomTreeExtractor::ExtractSites(
         // and a seed would induce the value path as a pattern and flood the
         // attribute set with values.
         std::vector<const html::TagPath*> induced;
-        std::vector<std::pair<const html::Node*, size_t>> labels;  // node,cluster
+        std::vector<std::pair<size_t, size_t>> labels;  // text index, cluster
         for (auto& [signature, group] : groups) {
           bool has_seed = false;
-          for (const html::Node* node : group.nodes) {
-            std::string text(Trim(node->text()));
+          for (size_t t : group.nodes) {
+            std::string text(Trim(texts[t]->text()));
             size_t cluster = dedup.FindExact(text);
             if (cluster != SIZE_MAX) {
               has_seed = true;
-              labels.emplace_back(node, cluster);
+              labels.emplace_back(t, cluster);
             }
           }
           if (has_seed) induced.push_back(&group.path);
@@ -182,13 +183,13 @@ DomExtraction DomTreeExtractor::ExtractSites(
             if (best >= 1.0) break;
           }
           if (best < config_.similarity_threshold) continue;
-          for (const html::Node* node : group.nodes) {
+          for (size_t t : group.nodes) {
             ++out.stats.nodes_considered;
             if (config_.attribute_budget &&
                 dedup.num_clusters() >= config_.attribute_budget) {
               break;
             }
-            std::string text(Trim(node->text()));
+            std::string text(Trim(texts[t]->text()));
             // The cheap label check first: value strings (digits, long
             // phrases) never reach the fuzzy lookup.
             if (!LabelTextAcceptable(text, config_.max_label_tokens)) {
@@ -205,7 +206,7 @@ DomExtraction DomTreeExtractor::ExtractSites(
             }
             ++attr.support;
             attr.best_similarity = std::max(attr.best_similarity, best);
-            labels.emplace_back(node, cluster);
+            labels.emplace_back(t, cluster);
             if (config_.attribute_budget &&
                 dedup.num_clusters() >= config_.attribute_budget) {
               break;
@@ -216,8 +217,8 @@ DomExtraction DomTreeExtractor::ExtractSites(
         // --- Harvest (entity, attribute, value) triples from label rows.
         double quality = anchor_is_candidate ? config_.candidate_quality
                                              : 1.0;
-        for (const auto& [node, cluster] : labels) {
-          std::string value = HarvestRowValue(node);
+        for (const auto& [label, cluster] : labels) {
+          std::string value = rows.Value(label);
           if (value.empty()) continue;
           ExtractedTriple triple;
           triple.class_name = site.class_name;

@@ -36,9 +36,11 @@ TemplateExtraction TemplateBaselineExtractor::Extract(
   for (const synth::WebSite& site : sites) {
     // --- Parse pages, remember each page's heading (entity proxy).
     std::vector<html::Document> docs;
+    std::vector<RowHarvester> rows;
     std::vector<std::string> headings;
     for (const auto& page : site.pages) {
       docs.push_back(html::ParseHtml(page.html));
+      rows.emplace_back(docs.back());
       ++out.stats.pages;
       const html::Node* h1 = docs.back().FirstByTag("h1");
       headings.push_back(h1 != nullptr ? h1->InnerText() : "");
@@ -46,8 +48,8 @@ TemplateExtraction TemplateBaselineExtractor::Extract(
 
     // --- Group text nodes by root tag path across the whole site.
     struct Occurrence {
-      const html::Node* node;
       size_t page;
+      size_t text;  // index into rows[page].texts()
     };
     struct TextStats {
       size_t count = 0;
@@ -60,13 +62,13 @@ TemplateExtraction TemplateBaselineExtractor::Extract(
     std::map<std::string, Group> groups;
     html::TagPathOptions path_options;
     for (size_t p = 0; p < docs.size(); ++p) {
-      std::vector<const html::Node*> texts;
-      CollectTextNodes(docs[p].root(), &texts);
-      for (const html::Node* node : texts) {
+      const std::vector<const html::Node*>& texts = rows[p].texts();
+      for (size_t t = 0; t < texts.size(); ++t) {
+        const html::Node* node = texts[t];
         std::string signature =
             html::RootTagPath(node, path_options).ToString();
         Group& group = groups[signature];
-        group.occurrences.push_back(Occurrence{node, p});
+        group.occurrences.push_back(Occurrence{p, t});
         TextStats& stats = group.distinct[std::string(Trim(node->text()))];
         ++stats.count;
         stats.pages.insert(p);
@@ -104,7 +106,8 @@ TemplateExtraction TemplateBaselineExtractor::Extract(
       // Label slot: every distinct text is an attribute candidate; every
       // occurrence yields a (heading-entity, label, row-value) triple.
       for (const Occurrence& occurrence : group.occurrences) {
-        std::string text(Trim(occurrence.node->text()));
+        const RowHarvester& page_rows = rows[occurrence.page];
+        std::string text(Trim(page_rows.texts()[occurrence.text]->text()));
         if (!LabelTextOk(text, config_.max_label_tokens)) continue;
         size_t cluster = dedup.Add(text);
         auto [it, inserted] = attributes.try_emplace(cluster);
@@ -120,7 +123,7 @@ TemplateExtraction TemplateBaselineExtractor::Extract(
         attribute.confidence = config_.confidence.Score(
             rdf::ExtractorKind::kDomTree, attribute.support, 0.8);
 
-        std::string value = HarvestRowValue(occurrence.node);
+        std::string value = page_rows.Value(occurrence.text);
         const std::string& entity = headings[occurrence.page];
         if (!value.empty() && !entity.empty()) {
           ExtractedTriple triple;

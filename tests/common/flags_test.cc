@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 namespace akb {
 namespace {
 
@@ -128,6 +131,57 @@ TEST(FlagsTest, BoolValueTrimsWhitespace) {
   FlagSet flags = ParseArgs({"--x", " true ", "--y", " 0 "});
   EXPECT_TRUE(flags.GetBool("x"));
   EXPECT_FALSE(flags.GetBool("y"));
+}
+
+TEST(FlagsTest, StrictAccessorsReadValidValues) {
+  FlagSet flags = ParseArgs({"--n= +42 ", "--neg=-3", "--d=0.25"});
+  EXPECT_EQ(flags.GetIntStrict("n", 0).value(), 42);
+  EXPECT_EQ(flags.GetIntStrict("neg", 0).value(), -3);
+  EXPECT_EQ(flags.GetIntStrict("n", 0, 42, 42).value(), 42);
+  EXPECT_DOUBLE_EQ(flags.GetDoubleStrict("d", 0).value(), 0.25);
+  EXPECT_DOUBLE_EQ(flags.GetDoubleStrict("n", 0).value(), 42.0);
+  // Absent: the fallback, even outside the range.
+  EXPECT_EQ(flags.GetIntStrict("missing", -7, 0, 10).value(), -7);
+  EXPECT_DOUBLE_EQ(flags.GetDoubleStrict("missing", 1.5).value(), 1.5);
+}
+
+TEST(FlagsTest, StrictAccessorsRejectMalformedValuesAndNameTheFlag) {
+  FlagSet flags = ParseArgs({"--port=abc", "--n=42abc", "--f=1.5",
+                             "--empty=", "--d=2.5x", "--inf=inf",
+                             "--nan=nan"});
+  for (const char* name : {"port", "n", "f", "empty"}) {
+    Result<int64_t> r = flags.GetIntStrict(name, 7);
+    ASSERT_FALSE(r.ok()) << name;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find(std::string("--") + name + "="),
+              std::string::npos)
+        << r.status().message();
+  }
+  for (const char* name : {"port", "empty", "d", "inf", "nan"}) {
+    Result<double> r = flags.GetDoubleStrict(name, 1.0);
+    ASSERT_FALSE(r.ok()) << name;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find(std::string("--") + name + "="),
+              std::string::npos);
+  }
+  // The lenient accessors keep falling back for the same values.
+  EXPECT_EQ(flags.GetInt("port", 7), 7);
+  EXPECT_DOUBLE_EQ(flags.GetDouble("d", 1.5), 1.5);
+}
+
+TEST(FlagsTest, StrictIntRejectsOutOfRangeValues) {
+  FlagSet flags = ParseArgs({"--port=70000", "--queries=-1", "--big=1e3",
+                             "--huge=99999999999999999999"});
+  Result<int64_t> port = flags.GetIntStrict("port", 0, 0, 65535);
+  ASSERT_FALSE(port.ok());
+  EXPECT_EQ(port.status().message(), "--port=70000 is out of range [0, 65535]");
+  Result<int64_t> queries = flags.GetIntStrict(
+      "queries", 0, 0, std::numeric_limits<int64_t>::max());
+  ASSERT_FALSE(queries.ok());
+  EXPECT_EQ(queries.status().message(), "--queries=-1 must not be negative");
+  // Exponent forms and int64 overflow are malformed integers, not wraps.
+  EXPECT_FALSE(flags.GetIntStrict("big", 0).ok());
+  EXPECT_FALSE(flags.GetIntStrict("huge", 0).ok());
 }
 
 TEST(DurationTest, ParsesEveryUnit) {

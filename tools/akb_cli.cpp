@@ -71,13 +71,62 @@ namespace {
 
 using namespace akb;
 
-synth::World BuildWorld(const FlagSet& flags) {
+// Reads a command's numeric flags strictly (FlagSet::GetIntStrict and
+// GetDoubleStrict). The first malformed value ("--port=abc", which the
+// lenient GetInt would replace by the default) or out-of-range one
+// ("--queries=-1", which would wrap to ~2^64 as a size_t) is kept, and
+// Check() prints it naming the flag, so the command exits 2 before it
+// builds a world or a KB or starts a thread.
+class NumericFlags {
+ public:
+  static constexpr int64_t kNoLimit = std::numeric_limits<int64_t>::max();
+
+  explicit NumericFlags(const FlagSet& flags) : flags_(flags) {}
+
+  /// A non-negative count, at most `max`.
+  size_t Count(const char* name, size_t fallback, int64_t max = kNoLimit) {
+    return size_t(Int(name, int64_t(fallback), 0, max));
+  }
+  /// --seed takes any int64; a negative one wraps to a uint64 seed.
+  uint64_t Seed(uint64_t fallback) {
+    return uint64_t(Int("seed", int64_t(fallback),
+                        std::numeric_limits<int64_t>::min(), kNoLimit));
+  }
+  double Double(const char* name, double fallback) {
+    return Keep(flags_.GetDoubleStrict(name, fallback), fallback);
+  }
+
+  /// Prints the first bad value and returns false, if there was one.
+  bool Check() const {
+    if (status_.ok()) return true;
+    std::fprintf(stderr, "error: %s\n", status_.ToString().c_str());
+    return false;
+  }
+
+ private:
+  int64_t Int(const char* name, int64_t fallback, int64_t min, int64_t max) {
+    return Keep(flags_.GetIntStrict(name, fallback, min, max), fallback);
+  }
+
+  template <typename T>
+  T Keep(const Result<T>& value, T fallback) {
+    if (value.ok()) return *value;
+    if (status_.ok()) status_ = value.status();
+    return fallback;
+  }
+
+  const FlagSet& flags_;
+  Status status_;
+};
+
+synth::WorldConfig WorldConfigFromFlags(const FlagSet& flags,
+                                        NumericFlags* nums) {
   std::string kind = flags.GetString("world", "small");
   synth::WorldConfig config = kind == "paper"
                                   ? synth::WorldConfig::PaperDefault()
                                   : synth::WorldConfig::Small();
-  config.seed = uint64_t(flags.GetInt("seed", int64_t(config.seed)));
-  return synth::World::Build(config);
+  config.seed = nums->Seed(config.seed);
+  return config;
 }
 
 core::FusionMethod ParseFusion(const std::string& name) {
@@ -90,16 +139,22 @@ core::FusionMethod ParseFusion(const std::string& name) {
   return core::FusionMethod::kAccuConfidenceCopy;
 }
 
+// Far above any useful pool size, far below a wrapped negative.
+constexpr int64_t kMaxThreads = 1024;
+
 int RunPipelineCommand(const FlagSet& flags) {
-  synth::World world = BuildWorld(flags);
+  NumericFlags nums(flags);
+  synth::WorldConfig world_config = WorldConfigFromFlags(flags, &nums);
   core::PipelineConfig config;
-  config.seed = uint64_t(flags.GetInt("seed", 42));
+  config.seed = nums.Seed(42);
   config.classes = flags.GetList("classes");
-  config.sites_per_class = size_t(flags.GetInt("sites", 3));
-  config.pages_per_site = size_t(flags.GetInt("pages", 15));
-  config.articles_per_class = size_t(flags.GetInt("articles", 25));
-  config.queries_per_class = size_t(flags.GetInt("queries", 1200));
-  config.num_workers = size_t(flags.GetInt("workers", 0));
+  config.sites_per_class = nums.Count("sites", 3);
+  config.pages_per_site = nums.Count("pages", 15);
+  config.articles_per_class = nums.Count("articles", 25);
+  config.queries_per_class = nums.Count("queries", 1200);
+  config.num_workers = nums.Count("workers", 0, kMaxThreads);
+  if (!nums.Check()) return 2;
+  synth::World world = synth::World::Build(world_config);
   config.fusion = ParseFusion(flags.GetString("fusion", "accu_conf_copy"));
   config.save_kb_path = flags.GetString("save-kb");
   config.load_kb_path = flags.GetString("load-kb");
@@ -175,7 +230,15 @@ int RunBenchMergeCommand(const FlagSet& flags) {
 }
 
 int RunExtractDomCommand(const FlagSet& flags) {
-  synth::World world = BuildWorld(flags);
+  NumericFlags nums(flags);
+  synth::WorldConfig world_config = WorldConfigFromFlags(flags, &nums);
+  synth::SiteConfig site_config;
+  site_config.num_sites = nums.Count("sites", 3);
+  site_config.pages_per_site = nums.Count("pages", 15);
+  site_config.seed = nums.Seed(7) + 1;
+  size_t seed_count = nums.Count("seeds", 5);
+  if (!nums.Check()) return 2;
+  synth::World world = synth::World::Build(world_config);
   std::string cls = flags.GetString("class", "Film");
   auto cls_id = world.FindClass(cls);
   if (!cls_id) {
@@ -184,16 +247,11 @@ int RunExtractDomCommand(const FlagSet& flags) {
   }
   const auto& wc = world.cls(*cls_id);
 
-  synth::SiteConfig site_config;
   site_config.class_name = cls;
-  site_config.num_sites = size_t(flags.GetInt("sites", 3));
-  site_config.pages_per_site = size_t(flags.GetInt("pages", 15));
-  site_config.seed = uint64_t(flags.GetInt("seed", 7)) + 1;
   auto sites = synth::GenerateSites(world, site_config);
 
   std::vector<std::string> entities, seeds;
   for (const auto& entity : wc.entities) entities.push_back(entity.name);
-  size_t seed_count = size_t(flags.GetInt("seeds", 5));
   for (size_t a = 0; a < seed_count && a < wc.attributes.size(); ++a) {
     seeds.push_back(wc.attributes[a].name);
   }
@@ -212,9 +270,11 @@ int RunExtractDomCommand(const FlagSet& flags) {
 }
 
 int RunFuseDemoCommand(const FlagSet& flags) {
+  NumericFlags nums(flags);
   synth::ClaimGenConfig config;
-  config.num_items = size_t(flags.GetInt("items", 500));
-  config.seed = uint64_t(flags.GetInt("seed", 9));
+  config.num_items = nums.Count("items", 500);
+  config.seed = nums.Seed(9);
+  if (!nums.Check()) return 2;
   config.sources = synth::MakeSources(6, 0.5, 0.9, 0.85);
   synth::FusionDataset dataset = synth::GenerateClaims(config);
   fusion::ClaimTable table = fusion::ClaimTable::FromDataset(dataset);
@@ -259,12 +319,12 @@ rdf::TripleStore BuildSyntheticKb(size_t claims, uint64_t seed) {
 }
 
 // Maps --load-kb as a view (so statusz sees the snapshot provenance) or
-// synthesizes --triples=N claims. Commands that generate their workload
-// from the KB pass `store` and get the claims too; serve-net passes null
-// and never builds a TripleStore from a snapshot. Returns false after
-// printing the error.
-bool BuildServeKb(const FlagSet& flags, uint64_t seed,
-                  size_t default_triples, rdf::TripleStore* store,
+// synthesizes `triples` claims (the --triples flag). Commands that
+// generate their workload from the KB pass `store` and get the claims too;
+// serve-net passes null and never builds a TripleStore from a snapshot.
+// Returns false after printing the error.
+bool BuildServeKb(const FlagSet& flags, uint64_t seed, size_t triples,
+                  rdf::TripleStore* store,
                   std::optional<serve::KbView>* view, double* build_ms,
                   FILE* info = stdout) {
   std::string load = flags.GetString("load-kb");
@@ -279,8 +339,7 @@ bool BuildServeKb(const FlagSet& flags, uint64_t seed,
     }
     view->emplace(std::move(*view_or));
   } else {
-    rdf::TripleStore synthesized = BuildSyntheticKb(
-        size_t(flags.GetInt("triples", int64_t(default_triples))), seed);
+    rdf::TripleStore synthesized = BuildSyntheticKb(triples, seed);
     view->emplace(synthesized);
     if (store != nullptr) *store = std::move(synthesized);
   }
@@ -296,47 +355,26 @@ bool BuildServeKb(const FlagSet& flags, uint64_t seed,
   return true;
 }
 
-// Shared engine/server configuration for the serve commands, read and
-// range-checked here once, before any thread starts: a negative count
-// would otherwise wrap to ~2^64 (a request for that many threads) and an
-// out-of-range port would wrap to another port. The join cache is on by
-// default (--no-cache turns it off); coalescing is on unless
-// --no-coalescing. `server` is null for the commands that run no server.
-// Prints the error naming the flag and returns false on a bad value.
-bool BuildServeConfigs(const FlagSet& flags,
-                       serve::QueryEngineConfig* engine,
-                       net::ServerConfig* server = nullptr) {
-  // Far above any useful pool size, far below a wrapped negative.
-  constexpr int64_t kMaxThreads = 1024;
-  constexpr int64_t kNoLimit = std::numeric_limits<int64_t>::max();
-  Status status;
-  auto in_range = [&](const char* name, int64_t fallback, int64_t max) {
-    const int64_t value = flags.GetInt(name, fallback);
-    if ((value < 0 || value > max) && status.ok()) {
-      status = Status::InvalidArgument(
-          std::string("--") + name + "=" + std::to_string(value) +
-          (max == kNoLimit
-               ? " must not be negative"
-               : " is out of range [0, " + std::to_string(max) + "]"));
-    }
-    return std::clamp<int64_t>(value, 0, max);
-  };
-  engine->num_workers = size_t(in_range("workers", 0, kMaxThreads));
+// Shared engine/server configuration for the serve commands, read through
+// `nums`, which range-checks each count before any thread starts: a
+// negative count would otherwise wrap to ~2^64 (a request for that many
+// threads) and an out-of-range port would wrap to another port. The join
+// cache is on by default (--no-cache turns it off); coalescing is on
+// unless --no-coalescing. `server` is null for the commands that run no
+// server.
+void ReadServeConfigs(const FlagSet& flags, NumericFlags* nums,
+                      serve::QueryEngineConfig* engine,
+                      net::ServerConfig* server = nullptr) {
+  engine->num_workers = nums->Count("workers", 0, kMaxThreads);
   engine->enable_cache = !flags.GetBool("no-cache");
   if (server != nullptr) {
     server->host = flags.GetString("host", "127.0.0.1");
-    server->port = uint16_t(in_range("port", 0, 65535));
-    server->num_workers = size_t(in_range("net-workers", 4, kMaxThreads));
-    server->max_connections =
-        size_t(in_range("max-connections", 1024, kNoLimit));
-    server->max_queue_depth = size_t(in_range("queue-depth", 1024, kNoLimit));
+    server->port = uint16_t(nums->Count("port", 0, 65535));
+    server->num_workers = nums->Count("net-workers", 4, kMaxThreads);
+    server->max_connections = nums->Count("max-connections", 1024);
+    server->max_queue_depth = nums->Count("queue-depth", 1024);
     server->enable_coalescing = !flags.GetBool("no-coalescing");
   }
-  if (!status.ok()) {
-    std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-    return false;
-  }
-  return true;
 }
 
 void PrintTopSlowQueries(const serve::QueryEngine& engine, size_t limit) {
@@ -360,18 +398,18 @@ void PrintTopSlowQueries(const serve::QueryEngine& engine, size_t limit) {
 // GenerateBgpWorkload) through ExecuteBgpBatch, reported in the same
 // shape as the single-pattern bench: qps, latency percentiles, join cache
 // behavior, and an akb-bench-v1 entry (serve_bgp_qps) for bench-merge.
+// `row_limit` caps each join's rows (--row-limit).
 int RunJoinBench(const FlagSet& flags, const rdf::TripleStore& store,
                  serve::KbView& view, serve::QueryEngine& engine,
-                 uint64_t seed, double build_ms) {
-  size_t num_queries = size_t(flags.GetInt("queries", 20000));
-  size_t batch = std::max<int64_t>(1, flags.GetInt("batch", 2048));
+                 uint64_t seed, double build_ms, size_t num_queries,
+                 size_t batch, size_t row_limit) {
   synth::BgpWorkloadConfig workload_config;
   workload_config.num_queries = num_queries;
   workload_config.seed = seed + 1;
   auto queries = synth::GenerateBgpWorkload(store, workload_config);
 
   serve::BgpOptions options;
-  options.limit = size_t(flags.GetInt("row-limit", 100000));
+  options.limit = row_limit;
 
   obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Snapshot();
   Stopwatch watch;
@@ -454,29 +492,33 @@ int RunJoinBench(const FlagSet& flags, const rdf::TripleStore& store,
 }
 
 int RunServeBenchCommand(const FlagSet& flags) {
+  NumericFlags nums(flags);
   serve::QueryEngineConfig engine_config;
-  if (!BuildServeConfigs(flags, &engine_config)) return 2;
-  uint64_t seed = uint64_t(flags.GetInt("seed", 19));
+  ReadServeConfigs(flags, &nums, &engine_config);
+  uint64_t seed = nums.Seed(19);
+  size_t triples = nums.Count("triples", 100000);
+  // --joins runs the BGP bench, with its own workload defaults.
+  const bool joins = flags.GetBool("joins");
+  size_t num_queries = nums.Count("queries", joins ? 20000 : 200000);
+  size_t batch = std::max<size_t>(1, nums.Count("batch", joins ? 2048 : 8192));
+  size_t row_limit = nums.Count("row-limit", 100000);
+  // Trace 1% by default; threshold 0 keeps the worst N of the sampled
+  // traces, so a bench run always captures its slowest queries.
+  engine_config.trace_sample_rate = nums.Double("trace-sample", 0.01);
+  engine_config.slow_log_capacity = nums.Count("slow-log", 32);
+  engine_config.slow_log_threshold_nanos =
+      int64_t(nums.Count("slow-nanos", 0));
+  size_t statusz_every = nums.Count("statusz-every", 0);
+  if (!nums.Check()) return 2;
+
   rdf::TripleStore store;
   std::optional<serve::KbView> view_holder;
   double build_ms = 0.0;
-  if (!BuildServeKb(flags, seed, 100000, &store, &view_holder, &build_ms)) {
+  if (!BuildServeKb(flags, seed, triples, &store, &view_holder, &build_ms)) {
     return 1;
   }
   serve::KbView& view = *view_holder;
 
-  size_t num_queries = size_t(flags.GetInt("queries", 200000));
-  size_t batch = std::max<int64_t>(1, flags.GetInt("batch", 8192));
-  synth::QueryWorkloadConfig workload_config;
-  workload_config.num_queries = num_queries;
-  workload_config.seed = seed + 1;
-  auto patterns = synth::GenerateQueryWorkload(store, workload_config);
-
-  // Trace 1% by default; threshold 0 keeps the worst N of the sampled
-  // traces, so a bench run always captures its slowest queries.
-  engine_config.trace_sample_rate = flags.GetDouble("trace-sample", 0.01);
-  engine_config.slow_log_capacity = size_t(flags.GetInt("slow-log", 32));
-  engine_config.slow_log_threshold_nanos = flags.GetInt("slow-nanos", 0);
   serve::QueryEngine engine(view, engine_config);
   std::printf(
       "View ready: %zu triples, %.1f MiB of indexes, built in %.1f ms; "
@@ -484,11 +526,16 @@ int RunServeBenchCommand(const FlagSet& flags) {
       view.num_triples(), double(view.IndexBytes()) / (1 << 20), build_ms,
       engine.num_workers());
 
-  if (flags.GetBool("joins")) {
-    return RunJoinBench(flags, store, view, engine, seed, build_ms);
+  if (joins) {
+    return RunJoinBench(flags, store, view, engine, seed, build_ms,
+                        num_queries, batch, row_limit);
   }
 
-  size_t statusz_every = size_t(flags.GetInt("statusz-every", 0));
+  synth::QueryWorkloadConfig workload_config;
+  workload_config.num_queries = num_queries;
+  workload_config.seed = seed + 1;
+  auto patterns = synth::GenerateQueryWorkload(store, workload_config);
+
   obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Snapshot();
   Stopwatch watch;
   size_t total_matches = 0;
@@ -581,25 +628,29 @@ int RunServeBenchCommand(const FlagSet& flags) {
 // Builds (or loads) a KB, runs a short warmup workload so the rolling
 // windows and slow-query log have data, and prints the full statusz page.
 int RunStatuszCommand(const FlagSet& flags) {
+  NumericFlags nums(flags);
   serve::QueryEngineConfig engine_config;
-  if (!BuildServeConfigs(flags, &engine_config)) return 2;
-  uint64_t seed = uint64_t(flags.GetInt("seed", 19));
+  ReadServeConfigs(flags, &nums, &engine_config);
+  uint64_t seed = nums.Seed(19);
+  size_t triples = nums.Count("triples", 50000);
+  // Trace every warmup query: this is introspection, not a benchmark.
+  engine_config.trace_sample_rate = nums.Double("trace-sample", 1.0);
+  engine_config.slow_log_capacity = nums.Count("slow-log", 8);
+  engine_config.slow_log_threshold_nanos =
+      int64_t(nums.Count("slow-nanos", 0));
+  size_t num_queries = nums.Count("queries", 20000);
+  if (!nums.Check()) return 2;
+
   rdf::TripleStore store;
   std::optional<serve::KbView> view_holder;
   double build_ms = 0.0;
   // Progress goes to stderr so `statusz --json` leaves stdout pure JSON.
-  if (!BuildServeKb(flags, seed, 50000, &store, &view_holder, &build_ms,
+  if (!BuildServeKb(flags, seed, triples, &store, &view_holder, &build_ms,
                     stderr)) {
     return 1;
   }
-
-  // Trace every warmup query: this is introspection, not a benchmark.
-  engine_config.trace_sample_rate = flags.GetDouble("trace-sample", 1.0);
-  engine_config.slow_log_capacity = size_t(flags.GetInt("slow-log", 8));
-  engine_config.slow_log_threshold_nanos = flags.GetInt("slow-nanos", 0);
   serve::QueryEngine engine(view_holder.value(), engine_config);
 
-  size_t num_queries = size_t(flags.GetInt("queries", 20000));
   if (num_queries > 0) {
     synth::QueryWorkloadConfig workload_config;
     workload_config.num_queries = num_queries;
@@ -640,9 +691,13 @@ void HandleStopSignal(int) { g_signal_stop = 1; }
 // queued work is shed with kUnavailable, connections are flushed and
 // closed, and the exit code is 0 so CI can assert a clean stop.
 int RunServeNetCommand(const FlagSet& flags) {
+  NumericFlags nums(flags);
   serve::QueryEngineConfig engine_config;
   net::ServerConfig server_config;
-  if (!BuildServeConfigs(flags, &engine_config, &server_config)) return 2;
+  ReadServeConfigs(flags, &nums, &engine_config, &server_config);
+  uint64_t seed = nums.Seed(19);
+  size_t triples = nums.Count("triples", 100000);
+  if (!nums.Check()) return 2;
   auto duration = flags.GetDuration("duration", 0);
   if (!duration.ok()) {
     std::fprintf(stderr, "error: %s\n",
@@ -650,10 +705,10 @@ int RunServeNetCommand(const FlagSet& flags) {
     return 2;
   }
 
-  uint64_t seed = uint64_t(flags.GetInt("seed", 19));
   std::optional<serve::KbView> view_holder;
   double build_ms = 0.0;
-  if (!BuildServeKb(flags, seed, 100000, nullptr, &view_holder, &build_ms)) {
+  if (!BuildServeKb(flags, seed, triples, nullptr, &view_holder,
+                    &build_ms)) {
     return 1;
   }
   serve::QueryEngine engine(*view_holder, engine_config);
@@ -822,22 +877,28 @@ double Percentile(std::vector<int64_t>& sorted, double p) {
 // report the backend execution count (akb.serve.queries delta) — the
 // number the coalescing headline is measured on.
 int RunNetBenchCommand(const FlagSet& flags) {
+  NumericFlags nums(flags);
   serve::QueryEngineConfig engine_config;
   net::ServerConfig server_config;
-  if (!BuildServeConfigs(flags, &engine_config, &server_config)) return 2;
-  uint64_t seed = uint64_t(flags.GetInt("seed", 19));
+  ReadServeConfigs(flags, &nums, &engine_config, &server_config);
+  uint64_t seed = nums.Seed(19);
+  size_t triples = nums.Count("triples", 100000);
+  synth::QueryWorkloadConfig workload_config;
+  workload_config.num_queries = nums.Count("queries", 50000);
+  workload_config.seed = seed + 1;
+  workload_config.zipf = nums.Double("zipf", 0.8);
+  // One thread per client.
+  size_t clients = std::max<size_t>(1, nums.Count("clients", 8, kMaxThreads));
+  size_t depth = std::max<size_t>(1, nums.Count("pipeline", 16));
+  if (!nums.Check()) return 2;
+
   rdf::TripleStore store;
   std::optional<serve::KbView> view_holder;
   double build_ms = 0.0;
-  if (!BuildServeKb(flags, seed, 100000, &store, &view_holder, &build_ms)) {
+  if (!BuildServeKb(flags, seed, triples, &store, &view_holder, &build_ms)) {
     return 1;
   }
 
-  size_t num_queries = size_t(flags.GetInt("queries", 50000));
-  synth::QueryWorkloadConfig workload_config;
-  workload_config.num_queries = num_queries;
-  workload_config.seed = seed + 1;
-  workload_config.zipf = flags.GetDouble("zipf", 0.8);
   auto patterns = synth::GenerateQueryWorkload(store, workload_config);
 
   auto deadline = flags.GetDuration("deadline", 0);
@@ -879,8 +940,6 @@ int RunNetBenchCommand(const FlagSet& flags) {
     port = server->port();
   }
 
-  size_t clients = std::max<int64_t>(1, flags.GetInt("clients", 8));
-  size_t depth = std::max<int64_t>(1, flags.GetInt("pipeline", 16));
   std::printf(
       "net-bench: %zu queries (zipf=%.2f), %zu clients x pipeline %zu, "
       "deadline=%lld ns, %s\n",
