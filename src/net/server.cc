@@ -71,7 +71,6 @@ struct Server::Counters {
   std::atomic<uint64_t> connections_accepted{0};
   std::atomic<uint64_t> connections_closed{0};
   std::atomic<uint64_t> connections_rejected{0};
-  std::atomic<uint64_t> connections_open{0};
   std::atomic<uint64_t> requests{0};
   std::atomic<uint64_t> responses{0};
   std::atomic<uint64_t> responses_dropped{0};
@@ -162,7 +161,6 @@ Status Server::Start(const ServerConfig& config) {
   }
   started_ = true;
   running_.store(true, std::memory_order_release);
-  AKB_GAUGE_SET("akb.net.workers", int64_t(config_.num_workers));
   return Status::OK();
 }
 
@@ -174,7 +172,13 @@ void Server::Stop() {
 
   // Phase 1: workers drain the queue, shedding every remaining flight
   // with kUnavailable so no client is left hanging on a silent drop.
-  stopping_.store(true, std::memory_order_release);
+  // The flag is stored under the queue lock: a worker between its wait
+  // predicate and its block would otherwise miss the notify and never
+  // be joined.
+  {
+    std::lock_guard<std::mutex> queue_lock(queue_mutex_);
+    stopping_.store(true, std::memory_order_release);
+  }
   queue_cv_.notify_all();
   for (std::thread& worker : workers_) worker.join();
   workers_.clear();
@@ -194,10 +198,13 @@ void Server::Stop() {
 NetStats Server::stats() const {
   NetStats stats;
   const Counters& c = *counters_;
-  stats.connections_accepted = c.connections_accepted.load();
+  // Closed first: each close follows its accept, so open cannot
+  // underflow.
   stats.connections_closed = c.connections_closed.load();
+  stats.connections_accepted = c.connections_accepted.load();
+  stats.connections_open =
+      stats.connections_accepted - stats.connections_closed;
   stats.connections_rejected = c.connections_rejected.load();
-  stats.connections_open = c.connections_open.load();
   stats.requests = c.requests.load();
   stats.responses = c.responses.load();
   stats.responses_dropped = c.responses_dropped.load();
@@ -210,8 +217,7 @@ NetStats Server::stats() const {
   stats.flights_executed = c.flights_executed.load();
   stats.flights_shed = c.flights_shed.load();
   {
-    std::lock_guard<std::mutex> lock(
-        const_cast<std::mutex&>(queue_mutex_));
+    std::lock_guard<std::mutex> lock(queue_mutex_);
     stats.queue_depth = queue_.size();
   }
   stats.singleflight = flights_.Stats();
@@ -260,10 +266,8 @@ void Server::IoLoop() {
         continue;
       }
       if (events[i].events & EPOLLIN) HandleReadable(conn);
-      if (!conn->closed.load(std::memory_order_acquire) &&
-          (events[i].events & EPOLLOUT)) {
-        HandleWritable(conn);
-      }
+      // A no-op when the read side just closed the connection.
+      if (events[i].events & EPOLLOUT) FlushConnection(conn);
     }
   }
   // Final flush: answer what we still can, then tear everything down.
@@ -289,7 +293,6 @@ void Server::AcceptPending() {
     if (fd < 0) return;
     if (connections_.size() >= config_.max_connections) {
       counters_->connections_rejected.fetch_add(1);
-      AKB_COUNTER_INC("akb.net.connections_rejected");
       ::close(fd);
       continue;
     }
@@ -303,8 +306,6 @@ void Server::AcceptPending() {
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
     connections_.emplace(fd, std::move(conn));
     counters_->connections_accepted.fetch_add(1);
-    counters_->connections_open.store(connections_.size());
-    AKB_COUNTER_INC("akb.net.connections_accepted");
   }
 }
 
@@ -333,7 +334,6 @@ void Server::HandleReadable(const std::shared_ptr<Connection>& conn) {
         config_.max_frame_bytes, &payload);
     if (!frame.ok()) {
       counters_->protocol_errors.fetch_add(1);
-      AKB_COUNTER_INC("akb.net.protocol_errors");
       CloseConnection(conn);
       return;
     }
@@ -354,14 +354,12 @@ void Server::HandleReadable(const std::shared_ptr<Connection>& conn) {
 bool Server::HandleFrame(const std::shared_ptr<Connection>& conn,
                          std::string_view payload) {
   counters_->requests.fetch_add(1);
-  AKB_COUNTER_INC("akb.net.requests");
   const int64_t now = NowNanos();
 
   WireRequest request;
   Status decoded = DecodeRequest(payload, &request);
   if (!decoded.ok()) {
     counters_->protocol_errors.fetch_add(1);
-    AKB_COUNTER_INC("akb.net.protocol_errors");
     WireResponse response;
     response.type = MsgType::kPing;
     response.request_id = request.request_id;
@@ -457,7 +455,6 @@ bool Server::HandleFrame(const std::shared_ptr<Connection>& conn,
       SingleFlightTable<Waiter>::Role::kWaiter) {
     // Coalesced onto a pending flight: no new backend work, nothing to
     // queue, and admission control does not apply.
-    AKB_COUNTER_INC("akb.net.coalesced_requests");
     return true;
   }
 
@@ -468,6 +465,10 @@ bool Server::HandleFrame(const std::shared_ptr<Connection>& conn,
       // Shed the flight we just created (any waiter that managed to
       // attach in between is shed with it — it joined a doomed flight).
       std::vector<Waiter> shed = flights_.Take(item.key);
+      // The flight was taken back unexecuted: account it with the other
+      // skipped flights so executed + shed == taken stays exact.
+      counters_->shed_unavailable.fetch_add(shed.size());
+      counters_->flights_shed.fetch_add(1);
       WireResponse response;
       response.type = request.type;
       response.status = Status::Unavailable(
@@ -477,23 +478,13 @@ bool Server::HandleFrame(const std::shared_ptr<Connection>& conn,
       for (const Waiter& w : shed) {
         response.request_id = w.request_id;
         Respond(w.conn, response);
-        counters_->shed_unavailable.fetch_add(1);
-        AKB_COUNTER_INC("akb.net.shed_unavailable");
       }
-      // The flight was taken back unexecuted: account it with the other
-      // skipped flights so executed + shed == taken stays exact.
-      counters_->flights_shed.fetch_add(1);
       return true;
     }
     queue_.push_back(std::move(item));
-    AKB_GAUGE_ADD("akb.net.queue_depth", 1);
   }
   queue_cv_.notify_one();
   return true;
-}
-
-void Server::HandleWritable(const std::shared_ptr<Connection>& conn) {
-  FlushConnection(conn);
 }
 
 void Server::FlushConnection(const std::shared_ptr<Connection>& conn) {
@@ -542,7 +533,6 @@ void Server::CloseConnection(const std::shared_ptr<Connection>& conn) {
   ::close(conn->fd);
   connections_.erase(conn->fd);
   counters_->connections_closed.fetch_add(1);
-  counters_->connections_open.store(connections_.size());
 }
 
 // ------------------------------------------------------------ worker side
@@ -561,7 +551,6 @@ void Server::WorkerLoop() {
       }
       item = std::move(queue_.front());
       queue_.pop_front();
-      AKB_GAUGE_ADD("akb.net.queue_depth", -1);
     }
     ExecuteFlight(item);
   }
@@ -570,58 +559,50 @@ void Server::WorkerLoop() {
 void Server::ExecuteFlight(const WorkItem& item) {
   if (config_.worker_hook_for_testing) config_.worker_hook_for_testing();
 
+  // Every count below lands before the first answer goes out, so a
+  // client holding its response reads stats() that include it.
   std::vector<Waiter> waiters = flights_.Take(item.key);
-  const int64_t now = NowNanos();
 
   if (stopping_.load(std::memory_order_acquire)) {
+    counters_->shed_shutdown.fetch_add(waiters.size());
+    counters_->flights_shed.fetch_add(1);
     WireResponse response;
     response.type = item.request.type;
     response.status = Status::Unavailable("server shutting down");
     for (const Waiter& waiter : waiters) {
       response.request_id = waiter.request_id;
-      SendToWaiter(waiter, &response);
-      counters_->shed_shutdown.fetch_add(1);
-      AKB_COUNTER_INC("akb.net.shed_shutdown");
+      Respond(waiter.conn, response);
     }
-    counters_->flights_shed.fetch_add(1);
     return;
   }
 
   // Queue-side deadline enforcement: expired waiters are answered with
-  // kDeadlineExceeded and never reach the backend. Fan-out order keeps
-  // attach order, so waiters[0] is the flight's leader.
+  // kDeadlineExceeded and never reach the backend. If every waiter
+  // expired, the whole flight is skipped (pinned by
+  // tests/net/net_deadline_test.cc). Fan-out order keeps attach order,
+  // so waiters[0] is the flight's leader.
+  const int64_t now = NowNanos();
   std::vector<size_t> live;
   live.reserve(waiters.size());
   for (size_t i = 0; i < waiters.size(); ++i) {
+    if (waiters[i].deadline_abs_nanos > now) live.push_back(i);
+  }
+  counters_->shed_deadline_queue.fetch_add(waiters.size() - live.size());
+  (live.empty() ? counters_->flights_shed : counters_->flights_executed)
+      .fetch_add(1);
+  for (size_t i = 0; i < waiters.size(); ++i) {
     const Waiter& waiter = waiters[i];
-    if (waiter.deadline_abs_nanos <= now) {
-      WireResponse response;
-      response.type = waiter.type;
-      response.request_id = waiter.request_id;
-      response.coalesced = i != 0;
-      response.status = Status::DeadlineExceeded(
-          "deadline expired after " +
-          std::to_string(now - waiter.receipt_nanos) + " ns in queue");
-      SendToWaiter(waiter, &response);
-      counters_->shed_deadline_queue.fetch_add(1);
-      AKB_COUNTER_INC("akb.net.shed_deadline");
-    } else {
-      live.push_back(i);
-    }
+    if (waiter.deadline_abs_nanos > now) continue;
+    WireResponse response;
+    response.type = waiter.type;
+    response.request_id = waiter.request_id;
+    response.coalesced = i != 0;
+    response.status = Status::DeadlineExceeded(
+        "deadline expired after " +
+        std::to_string(now - waiter.receipt_nanos) + " ns in queue");
+    Respond(waiter.conn, response);
   }
-  if (live.empty()) {
-    // Every waiter's deadline passed: the whole flight is skipped and
-    // the backend never runs (pinned by tests/net/net_deadline_test.cc).
-    counters_->flights_shed.fetch_add(1);
-    AKB_COUNTER_INC("akb.serve.coalesced_shed");
-    return;
-  }
-
-  counters_->flights_executed.fetch_add(1);
-  AKB_COUNTER_INC("akb.serve.coalesced_leaders");
-  if (live.size() > 1) {
-    AKB_COUNTER_ADD("akb.serve.coalesced_waiters", int64_t(live.size() - 1));
-  }
+  if (live.empty()) return;
 
   WireResponse response;
   response.type = item.request.type;
@@ -655,14 +636,10 @@ void Server::ExecuteFlight(const WorkItem& item) {
     response.request_id = waiter.request_id;
     response.coalesced = i != 0;
     if (waiter.type == MsgType::kBgp) response.vars = waiter.bgp_vars;
-    SendToWaiter(waiter, &response);
     AKB_HISTOGRAM_RECORD("akb.net.request.nanos",
                          done - waiter.receipt_nanos);
+    Respond(waiter.conn, response);
   }
-}
-
-void Server::SendToWaiter(const Waiter& waiter, WireResponse* response) {
-  Respond(waiter.conn, *response);
 }
 
 void Server::Respond(const std::shared_ptr<Connection>& conn,
@@ -679,16 +656,16 @@ void Server::Respond(const std::shared_ptr<Connection>& conn,
     if (conn->outbox.size() + bytes.size() > config_.max_outbox_bytes) {
       overflow = true;
     } else {
+      // Counted before the append: once the bytes are in the outbox the
+      // IO thread may send them.
+      counters_->responses.fetch_add(1);
       conn->outbox.append(bytes);
     }
   }
   if (overflow) {
     // The client stopped reading; drop it rather than buffer unboundedly.
-    conn->close_requested.store(true, std::memory_order_release);
     counters_->responses_dropped.fetch_add(1);
-  } else {
-    counters_->responses.fetch_add(1);
-    AKB_COUNTER_INC("akb.net.responses");
+    conn->close_requested.store(true, std::memory_order_release);
   }
   {
     std::lock_guard<std::mutex> lock(write_pending_mutex_);

@@ -37,10 +37,12 @@
 // the backend ever running for them (if every waiter expired, the whole
 // flight is skipped).
 //
-// Metrics land under akb.net.* (requests, responses, sheds, queue depth,
-// request latency) and akb.serve.coalesced_* (leaders = backend
-// executions, waiters = requests served from another request's
-// execution); FillNetStatusReport contributes a "net" statusz section.
+// Every event is counted once, in the server's own counters (stats(),
+// NetStats), and always before the answer it accounts for is queued: a
+// client holding its response reads stats() that include it.
+// FillNetStatusReport exposes them as the "net" statusz section. The
+// process-global registry gets only the akb.net.request.nanos latency
+// histogram, which has no NetStats twin.
 #ifndef AKB_NET_SERVER_H_
 #define AKB_NET_SERVER_H_
 
@@ -101,7 +103,7 @@ struct NetStats {
   uint64_t connections_accepted = 0;
   uint64_t connections_closed = 0;
   uint64_t connections_rejected = 0;  ///< over max_connections
-  uint64_t connections_open = 0;
+  uint64_t connections_open = 0;  ///< accepted - closed
   uint64_t requests = 0;   ///< decoded frames, pings included
   uint64_t responses = 0;  ///< frames queued for write
   uint64_t responses_dropped = 0;  ///< waiter's connection died first
@@ -148,7 +150,6 @@ class Server {
   void IoLoop();
   void WorkerLoop();
   void HandleReadable(const std::shared_ptr<Connection>& conn);
-  void HandleWritable(const std::shared_ptr<Connection>& conn);
   void AcceptPending();
   /// Decode + admission for one frame payload. Returns false when the
   /// connection must be closed (protocol error).
@@ -157,7 +158,6 @@ class Server {
   void ExecuteFlight(const WorkItem& item);
   void Respond(const std::shared_ptr<Connection>& conn,
                const WireResponse& response);
-  void SendToWaiter(const Waiter& waiter, WireResponse* response);
   void CloseConnection(const std::shared_ptr<Connection>& conn);
   void FlushConnection(const std::shared_ptr<Connection>& conn);
   void UpdateWriteInterest(const std::shared_ptr<Connection>& conn);
@@ -184,7 +184,7 @@ class Server {
   std::unordered_map<int, std::shared_ptr<Connection>> connections_;
 
   // Bounded work queue of flights awaiting a worker.
-  std::mutex queue_mutex_;
+  mutable std::mutex queue_mutex_;
   std::condition_variable queue_cv_;
   std::deque<WorkItem> queue_;
 

@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "common/stopwatch.h"
-#include "obs/metrics.h"
 
 namespace akb::serve {
 
@@ -426,20 +425,11 @@ BgpResultCache::BgpResultCache(const ResultCacheConfig& config)
 
 BgpResultCache::RowsPtr BgpResultCache::Get(const std::string& key,
                                             QueryTrace* trace) {
-  RowsPtr value;
-  if (trace == nullptr) {
-    value = lru_.Get(key);
-  } else {
-    Stopwatch watch;
-    value = lru_.Get(key);
-    trace->cache_get_nanos = watch.ElapsedNanos();
-    trace->cache_hit = value != nullptr;
-  }
-  if (value) {
-    AKB_COUNTER_INC("akb.serve.bgp.cache.hits");
-  } else {
-    AKB_COUNTER_INC("akb.serve.bgp.cache.misses");
-  }
+  if (trace == nullptr) return lru_.Get(key);
+  Stopwatch watch;
+  RowsPtr value = lru_.Get(key);
+  trace->cache_get_nanos = watch.ElapsedNanos();
+  trace->cache_hit = value != nullptr;
   return value;
 }
 
@@ -447,17 +437,13 @@ void BgpResultCache::Put(const std::string& key, RowsPtr value,
                          QueryTrace* trace) {
   if (!value) return;
   const size_t bytes = EntryBytes(key, *value);
-  uint64_t evicted;
   if (trace == nullptr) {
-    evicted = lru_.Put(key, std::move(value), bytes);
-  } else {
-    Stopwatch watch;
-    evicted = lru_.Put(key, std::move(value), bytes);
-    trace->cache_put_nanos = watch.ElapsedNanos();
+    lru_.Put(key, std::move(value), bytes);
+    return;
   }
-  if (evicted > 0) {
-    AKB_COUNTER_ADD("akb.serve.bgp.cache.evictions", int64_t(evicted));
-  }
+  Stopwatch watch;
+  lru_.Put(key, std::move(value), bytes);
+  trace->cache_put_nanos = watch.ElapsedNanos();
 }
 
 }  // namespace akb::serve

@@ -188,8 +188,9 @@ std::string DecodeBgp(const KbView& view, const BgpQuery& query);
 
 /// Sharded LRU over canonicalized BGP results (see CanonicalizeBgp):
 /// equivalent queries — any pattern order, any variable names — share
-/// one entry. The sharded LRU core (serve/sharded_lru.h) keeps the stat
-/// invariants; counters land under akb.serve.bgp.cache.*.
+/// one entry. The sharded LRU core (serve/sharded_lru.h) counts hits,
+/// misses and evictions under its shard locks; Stats() is the only copy
+/// of them (statusz "bgp_cache", serve-bench), none goes to the registry.
 class BgpResultCache {
  public:
   using RowsPtr = std::shared_ptr<const BgpRows>;

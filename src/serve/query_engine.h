@@ -14,7 +14,10 @@
 //   akb.serve.results            counter, total matches returned
 //   akb.serve.query.nanos        histogram (p50/p90/p99 in the dump)
 //   akb.serve.batch.micros       histogram, wall time per batch
-//   akb.serve.bgp.cache.{hits,misses,evictions}  from the join cache
+//
+// The join cache counts its own hits, misses and evictions
+// (bgp_cache()->Stats(), the statusz "bgp_cache" section); they are not
+// duplicated in the registry.
 //
 // Beyond the process-lifetime registry, every engine owns an SloTracker
 // whose rolling windows answer "QPS / p99 / error rate right now", and a

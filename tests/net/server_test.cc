@@ -427,6 +427,44 @@ TEST_F(ServerTest, StatuszNetSection) {
                           "\"sheds\"", "\"singleflight\"", "\"requests\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
   }
+
+  // The section reports the server's own counters, not a second copy.
+  // Nothing is in flight: the ping was answered and the client is idle.
+  NetStats stats = server->stats();
+  const obs::Json* connections = net->Find("connections");
+  const obs::Json* traffic = net->Find("traffic");
+  ASSERT_NE(connections, nullptr);
+  ASSERT_NE(traffic, nullptr);
+  ASSERT_NE(connections->Find("open"), nullptr);
+  ASSERT_NE(connections->Find("accepted"), nullptr);
+  ASSERT_NE(traffic->Find("requests"), nullptr);
+  EXPECT_EQ(connections->Find("open")->AsInt(-1),
+            int64_t(stats.connections_open));
+  EXPECT_EQ(connections->Find("accepted")->AsInt(-1),
+            int64_t(stats.connections_accepted));
+  EXPECT_EQ(traffic->Find("requests")->AsInt(-1), int64_t(stats.requests));
+  EXPECT_EQ(stats.connections_open, 1u);
+  EXPECT_EQ(stats.requests, 1u);
+}
+
+// connections_open is derived as accepted - closed; it tracks live
+// connections up and down, not only the final zero.
+TEST_F(ServerTest, ConnectionsOpenTracksLiveConnections) {
+  Server* server = StartServer({});
+  std::vector<std::unique_ptr<Client>> clients;
+  for (int i = 0; i < 3; ++i) {
+    clients.push_back(std::make_unique<Client>());
+    ASSERT_TRUE(clients.back()->Connect("127.0.0.1", server->port()).ok());
+  }
+  ASSERT_TRUE(WaitFor([&] { return server->stats().connections_open == 3; }));
+  clients.pop_back();
+  clients.pop_back();
+  ASSERT_TRUE(WaitFor([&] { return server->stats().connections_open == 1; }));
+  clients.clear();
+  ASSERT_TRUE(WaitFor([&] { return server->stats().connections_open == 0; }));
+  NetStats stats = server->stats();
+  EXPECT_EQ(stats.connections_accepted, 3u);
+  EXPECT_EQ(stats.connections_closed, 3u);
 }
 
 TEST_F(ServerTest, LifecycleStartTwiceFailsStopIsIdempotent) {

@@ -307,8 +307,11 @@ rdf::TripleStore BuildSyntheticKb(size_t claims, uint64_t seed) {
         store.dictionary().InternIri("http://p/p" + std::to_string(i)));
   }
   for (size_t i = 0; i < num_objects; ++i) {
-    objects.push_back(
-        store.dictionary().InternLiteral("v" + std::to_string(i)));
+    // Built by append: GCC 12 warns (-Wrestrict) on the inlined
+    // `"v" + std::to_string(i)`.
+    std::string value("v");
+    value.append(std::to_string(i));
+    objects.push_back(store.dictionary().InternLiteral(value));
   }
   for (size_t c = 0; c < claims; ++c) {
     store.Insert(
